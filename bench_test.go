@@ -166,6 +166,7 @@ func BenchmarkAblationResolver(b *testing.B) {
 	res := runExperiment(b, bench.AblationResolver)
 	b.ReportMetric(metricAt(b, res[0], "McCuckoo/random-walk", 90), "rw-kicks@90%")
 	b.ReportMetric(metricAt(b, res[0], "McCuckoo/min-counter", 90), "mc-kicks@90%")
+	b.ReportMetric(metricAt(b, res[0], "McCuckoo/bfs", 90), "bfs-kicks@90%")
 }
 
 // BenchmarkAblationPrescreen regenerates the pre-screen ablation.

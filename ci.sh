@@ -23,6 +23,8 @@
 # convergence) run again under the race detector, which is what actually
 # exercises the reader/writer interleavings their tests stage. Test gates
 # run with -shuffle=on so inter-test ordering dependencies cannot hide.
+# perfbench gate: vet and tests of the separate benchmark module, which
+# ./... does not include.
 # Chaos smoke: the short-mode netchaos drill (seeded partition + heal +
 # digest-equality) runs standalone so the fault-injection layer itself is
 # exercised — and visibly named — on every run.
@@ -94,6 +96,13 @@ go build ./...
 
 say "go test: full suite"
 go test -shuffle=on ./...
+
+say "perfbench: vet + tests of the benchmark module"
+# perfbench is its own module (replace mccuckoo => ../), so the ./... gates
+# above do not reach it. Its deterministic-count and wrong-answer tests
+# guard the table paths the benchmark drives, the collision resolver among
+# them.
+(cd perfbench && go vet ./... && go test ./...)
 
 say "go test -race: concurrency-bearing packages"
 # The ./internal/telemetry/... wildcard covers the trace subpackage, whose

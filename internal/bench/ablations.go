@@ -10,8 +10,12 @@ import (
 	"mccuckoo/internal/workload"
 )
 
-// AblationResolver compares the random-walk resolver against MinCounter
-// inside both multi-copy schemes (§III.D claims any resolver plugs in).
+// AblationResolver compares the collision resolvers inside both multi-copy
+// schemes (§III.D claims any resolver plugs in): the paper's random walk,
+// MinCounter, and — single-slot only — the breadth-first path search, which
+// ends a path at the first bucket whose counter is not 1. Kicks per insertion
+// come with the off-chip reads and writes they cost: BFS reads more buckets
+// to find a short path and then writes far fewer.
 func AblationResolver(o Options) ([]*Result, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
@@ -23,12 +27,17 @@ func AblationResolver(o Options) ([]*Result, error) {
 	}{
 		{"McCuckoo/random-walk", SchemeMcCuckoo, kv.RandomWalk},
 		{"McCuckoo/min-counter", SchemeMcCuckoo, kv.MinCounter},
+		{"McCuckoo/bfs", SchemeMcCuckoo, kv.BFS},
 		{"B-McCuckoo/random-walk", SchemeBMcCuckoo, kv.RandomWalk},
 		{"B-McCuckoo/min-counter", SchemeBMcCuckoo, kv.MinCounter},
 	}
-	series := make([]*metrics.Series, len(variants))
+	kicks := make([]*metrics.Series, len(variants))
+	reads := make([]*metrics.Series, len(variants))
+	writes := make([]*metrics.Series, len(variants))
 	for i, v := range variants {
-		series[i] = metrics.NewSeries(v.name)
+		kicks[i] = metrics.NewSeries(v.name)
+		reads[i] = metrics.NewSeries(v.name)
+		writes[i] = metrics.NewSeries(v.name)
 		loads := loadsFor(v.scheme, StandardLoads)
 		for run := 0; run < o.Runs; run++ {
 			points, err := insertSweepTC(v.scheme, o, run, loads, tableConfig{policy: v.policy})
@@ -36,20 +45,29 @@ func AblationResolver(o Options) ([]*Result, error) {
 				return nil, err
 			}
 			for _, p := range points {
-				series[i].Add(p.load*100, p.kicks)
+				kicks[i].Add(p.load*100, p.kicks)
+				reads[i].Add(p.load*100, p.offReads)
+				writes[i].Add(p.load*100, p.offWrites)
 			}
 		}
 	}
-	return []*Result{{
-		ID: "abl-resolver",
-		Table: &metrics.Table{
-			Title:  "Ablation — kick-outs per insertion, random-walk vs MinCounter resolver",
-			XLabel: "load",
-			XFmt:   "%.0f%%",
-			YFmt:   "%.4f",
-			Series: series,
-		},
-	}}, nil
+	table := func(id, what string, series []*metrics.Series) *Result {
+		return &Result{
+			ID: id,
+			Table: &metrics.Table{
+				Title:  "Ablation — " + what + " per insertion, random-walk vs MinCounter vs BFS resolver",
+				XLabel: "load",
+				XFmt:   "%.0f%%",
+				YFmt:   "%.4f",
+				Series: series,
+			},
+		}
+	}
+	return []*Result{
+		table("abl-resolver", "kick-outs", kicks),
+		table("abl-resolver-reads", "off-chip reads", reads),
+		table("abl-resolver-writes", "off-chip writes", writes),
+	}, nil
 }
 
 // AblationPrescreen compares McCuckoo lookups with the counter pre-screen on

@@ -69,7 +69,7 @@ var Experiments = []Experiment{
 	{"tab3", "Table III: stash statistics, 3-hash 3-slot McCuckoo", TableIII},
 	{"fig15", "Fig. 15: insertion latency and throughput (platform model)", Fig15},
 	{"fig16", "Fig. 16: lookup latency and throughput (platform model)", Fig16},
-	{"abl-resolver", "Ablation: random-walk vs MinCounter resolver in McCuckoo", AblationResolver},
+	{"abl-resolver", "Ablation: random-walk vs MinCounter vs BFS resolver in McCuckoo", AblationResolver},
 	{"abl-bfs", "Ablation: BFS vs random-walk vs MinCounter in the baseline", AblationBaselineResolver},
 	{"abl-prescreen", "Ablation: lookup counter pre-screen on vs off", AblationPrescreen},
 	{"abl-deletion", "Ablation: counter-reset vs tombstone deletion", AblationDeletion},

@@ -123,7 +123,7 @@ type tableConfig struct {
 	stash            bool
 	stashMax         int
 	maxLoop          int
-	policy           kv.KickPolicy
+	policy           kv.KickPolicy // zero: kv.RandomWalk, the resolver of every paper figure
 	deletion         core.DeletionMode
 	disablePrescreen bool
 	// upsert keeps duplicate-key handling on (for workloads that

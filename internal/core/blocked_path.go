@@ -21,8 +21,9 @@ type BlockedPathMove struct {
 }
 
 // FindPath searches for a cuckoo path at slot granularity without mutating
-// the table, mirroring Table.FindPath. Paths are bucket-disjoint. ok is
-// false when no path within MaxLoop hops exists.
+// the table. Unlike Table.FindPath's breadth-first search it walks from a
+// random candidate, extending through random unvisited buckets. Paths are
+// bucket-disjoint. ok is false when no path within MaxLoop hops exists.
 func (t *BlockedTable) FindPath(key uint64) ([]BlockedPathMove, bool) {
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])

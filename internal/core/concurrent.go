@@ -92,10 +92,11 @@ func pathwiseInsert[M any](c *Concurrent, key, value uint64,
 		c.mu.Unlock()
 		return out
 	}
-	// FindPath only reads table state (plus the writer-owned RNG and
-	// meter), so holding the write lock is not required for reader
-	// safety — but it is cheap to keep it for the discovery too, since
-	// discovery does no off-chip writes. Release before executing.
+	// FindPath only reads table state (plus the writer-owned search
+	// scratch, RNG and meter), so holding the write lock is not required
+	// for reader safety — but it is cheap to keep it for the discovery
+	// too, since discovery does no off-chip writes. Release before
+	// executing.
 	path, found := findPath(key)
 	c.mu.Unlock()
 	if !found {

@@ -54,13 +54,16 @@ type Config struct {
 	// Slots is the number of slots per bucket; used only by NewBlocked
 	// (paper: 3). New ignores it.
 	Slots int
-	// MaxLoop bounds the kick-out chain length (paper default: 500).
+	// MaxLoop bounds the kick-out chain length of the random walk and
+	// MinCounter, and the buckets the BFS path search expands (paper
+	// default: 500).
 	MaxLoop int
 	// Seed makes hashing and the random walk reproducible.
 	Seed uint64
 	// Policy selects the collision resolver (§III.D: any resolver plugs
-	// in; the paper's evaluation uses the random walk, MinCounter is the
-	// ablation alternative).
+	// in). The zero value is the random walk of the paper's evaluation;
+	// MinCounter is the ablation alternative; BFS, single-slot only,
+	// searches for the shortest relocation path (Table.FindPath).
 	Policy kv.KickPolicy
 	// Deletion selects the counter treatment on delete.
 	Deletion DeletionMode
@@ -132,6 +135,15 @@ func (c *Config) normalize(blocked bool) error {
 		}
 	} else if c.Slots != 1 {
 		return fmt.Errorf("core: single-slot table requires Slots == 1, got %d", c.Slots)
+	}
+	switch c.Policy {
+	case kv.RandomWalk, kv.MinCounter:
+	case kv.BFS:
+		if blocked {
+			return fmt.Errorf("core: the %s resolver is single-slot only; blocked tables take %s or %s", kv.BFS, kv.RandomWalk, kv.MinCounter)
+		}
+	default:
+		return fmt.Errorf("core: unknown collision resolver policy %d", c.Policy)
 	}
 	if c.BucketsPerTable <= 0 {
 		return fmt.Errorf("core: BucketsPerTable must be positive, got %d", c.BucketsPerTable)

@@ -15,27 +15,30 @@ import (
 //  3. overwrite the remaining candidates in decreasing counter order while
 //     the victim still has at least two more copies than the inserted item.
 //
-// When every candidate holds a sole copy (all counters 1), a counter-guided
-// random walk relocates items; if the walk exceeds MaxLoop the item goes to
-// the stash and the flags of its candidate buckets are set.
+// When every candidate holds a sole copy (all counters 1), the configured
+// resolver relocates items: the breadth-first path search under BFS, the
+// counter-guided random walk otherwise. If it finds no room within MaxLoop
+// the item goes to the stash and the flags of its candidate buckets are set.
 //
 //mcvet:hotpath
 func (t *Table) Insert(key, value uint64) kv.Outcome {
-	t.stats.Inserts++
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])
-
-	if !t.cfg.AssumeUniqueKeys {
-		if out, done := t.updateExisting(key, value, cand[:t.cfg.D]); done {
-			return out
-		}
+	e := kv.Entry{Key: key, Value: value}
+	if out, done := t.tryPlace(e, cand[:t.cfg.D]); done {
+		return out
 	}
+	return t.collide(e, cand[:t.cfg.D])
+}
 
-	if copies := t.place(kv.Entry{Key: key, Value: value}, cand[:t.cfg.D]); copies > 0 {
-		t.size++
-		return kv.Outcome{Status: kv.Placed}
+// collide resolves a real collision with the configured resolver.
+//
+//mcvet:hotpath
+func (t *Table) collide(e kv.Entry, cand []int) kv.Outcome {
+	if t.cfg.Policy == kv.BFS {
+		return t.insertAlongPath(e, cand)
 	}
-	return t.resolveCollision(kv.Entry{Key: key, Value: value}, cand[:t.cfg.D])
+	return t.resolveCollision(e, cand)
 }
 
 // updateExisting checks for an existing copy of key and updates all its

@@ -16,7 +16,7 @@ import (
 func TestConfigMatrixSingle(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
 		for _, del := range []DeletionMode{ResetCounters, Tombstone} {
-			for _, pol := range []kv.KickPolicy{kv.RandomWalk, kv.MinCounter} {
+			for _, pol := range []kv.KickPolicy{kv.RandomWalk, kv.MinCounter, kv.BFS} {
 				for _, noPre := range []bool{false, true} {
 					name := fmt.Sprintf("d=%d/%v/%v/noPre=%v", d, del, pol, noPre)
 					t.Run(name, func(t *testing.T) {

@@ -19,79 +19,105 @@ type PathMove struct {
 	ToBucket   int
 }
 
+// bfsNode is one bucket of the breadth-first path search: its occupant, a
+// sole copy, would move one hop along the path.
+type bfsNode struct {
+	bucket int
+	table  int32
+	parent int32 // index of the node whose occupant would move in; -1 for key's candidates
+}
+
 // FindPath searches for a cuckoo path that frees one of key's candidate
 // buckets without mutating the table (§III.H: MemC3 introduced cuckoo-path
 // insertion but "did not develop efficient method to quickly find one";
-// McCuckoo's counters do exactly that — the walk ends at the first bucket
-// whose counter is not 1, i.e. free or redundantly occupied).
+// McCuckoo's counters do exactly that — a path may end at any bucket whose
+// counter is not 1, i.e. free or redundantly occupied).
 //
-// The returned path is ordered from key's bucket outward: path[0] moves the
-// item that currently blocks key, path[len-1] ends in a usable bucket.
-// ok is false when no path within MaxLoop hops exists; the caller should
-// stash key. FindPath only reads (buckets along the path are read to learn
-// victim keys; the traffic is charged), so a concurrent wrapper may run it
-// under a read lock.
+// The search is breadth-first over the eviction graph, starting from key's
+// d candidates, so the path found is a shortest one. Expanding a bucket
+// costs one off-chip read to learn its occupant, one hash of the occupant,
+// and d−1 on-chip counter reads of the occupant's other candidates; the
+// search stops at the first of those whose counter is not 1. MaxLoop bounds
+// the buckets expanded. The search uses no randomness.
+//
+// FindPath expects a real collision — every candidate of key holds a sole
+// copy, as when TryPlace reports done == false. The returned path is ordered
+// from key's bucket outward: path[0] moves the item that currently blocks
+// key, path[len-1] ends in a usable bucket. Paths are bucket-disjoint. ok is
+// false when no path within MaxLoop expansions exists; the caller should
+// stash key. The path's backing array is scratch owned by the table and is
+// overwritten by the next search. FindPath changes no bucket or counter,
+// only the writer-owned search scratch and meter (expanded buckets are
+// charged), so readers of the table may run alongside it.
 func (t *Table) FindPath(key uint64) ([]PathMove, bool) {
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])
+	return t.findPath(cand[:t.cfg.D])
+}
 
-	// The path only makes sense when key itself cannot place: every
-	// candidate holds a sole copy. Walk from a random candidate. Paths
-	// must be bucket-disjoint or the back-to-front execution would act
-	// on stale assumptions, so visited buckets are never re-entered —
-	// a built-in loop guard on top of MaxLoop.
-	path := make([]PathMove, 0, 8)
-	curTable := t.rng.IntN(t.cfg.D)
-	curBucket := cand[curTable]
-	visited := map[int]bool{t.bucketIndex(curTable, curBucket): true}
-	for hop := 0; hop < t.cfg.MaxLoop; hop++ {
-		victim := t.readBucket(curTable, curBucket)
+// findPath is FindPath over key's precomputed candidates. Its queue and path
+// buffers belong to the table and only grow, so once they have reached the
+// largest search seen a search allocates nothing.
+//
+// The queue keeps no visited set, yet every path it returns is
+// bucket-disjoint. Expanding a bucket always yields the same children, and
+// the queue is expanded in order of depth. If the returned chain held one
+// bucket twice, or a bucket also queued at a smaller depth, the chain from
+// that shallower copy would reach a copy of the last node at a smaller
+// depth. That copy would have been expanded first and found the same usable
+// bucket, since nothing changes during the search.
+//
+//mcvet:hotpath
+func (t *Table) findPath(cand []int) ([]PathMove, bool) {
+	d := t.cfg.D
+	nodes := t.bfsQueue[:0]
+	for i, b := range cand {
+		nodes = append(nodes, bfsNode{bucket: b, table: int32(i), parent: -1}) //mcvet:allow hotpathalloc the table-owned queue grows to the largest search once, then is reused
+	}
+	for head := 0; head < len(nodes) && head < t.cfg.MaxLoop; head++ {
+		from, fromBucket := int(nodes[head].table), nodes[head].bucket
 		var vcand [hashutil.MaxD]int
-		t.family.Indexes(victim, vcand[:])
-
-		// Does the victim have a usable alternative bucket? Usable
-		// means counter != 1 (free, tombstone, or redundant copy).
-		dest := -1
-		for j := 0; j < t.cfg.D; j++ {
-			if j == curTable || visited[t.bucketIndex(j, vcand[j])] {
+		t.family.Indexes(t.readBucket(from, fromBucket), vcand[:])
+		for j := 0; j < d; j++ {
+			if j == from {
 				continue
 			}
-			if c := t.counterAt(j, vcand[j]); c != 1 {
-				dest = j
-				break
+			if t.counterAt(j, vcand[j]) != 1 {
+				t.bfsQueue = nodes
+				return t.tracePath(nodes, head, j, vcand[j]), true
 			}
+			nodes = append(nodes, bfsNode{bucket: vcand[j], table: int32(j), parent: int32(head)}) //mcvet:allow hotpathalloc the table-owned queue grows to the largest search once, then is reused
 		}
-		if dest >= 0 {
-			path = append(path, PathMove{
-				Key:       victim,
-				FromTable: curTable, FromBucket: curBucket,
-				ToTable: dest, ToBucket: vcand[dest],
-			})
-			return path, true
-		}
-		// No usable alternative: extend the walk through one of the
-		// victim's unvisited candidates, chosen at random.
-		var opts [hashutil.MaxD]int
-		nOpts := 0
-		for j := 0; j < t.cfg.D; j++ {
-			if j != curTable && !visited[t.bucketIndex(j, vcand[j])] {
-				opts[nOpts] = j
-				nOpts++
-			}
-		}
-		if nOpts == 0 {
-			return nil, false // walk boxed in by its own trail
-		}
-		next := opts[t.rng.IntN(nOpts)]
-		path = append(path, PathMove{
-			Key:       victim,
-			FromTable: curTable, FromBucket: curBucket,
-			ToTable: next, ToBucket: vcand[next],
-		})
-		curTable, curBucket = next, vcand[next]
-		visited[t.bucketIndex(curTable, curBucket)] = true
 	}
+	t.bfsQueue = nodes
 	return nil, false
+}
+
+// tracePath writes the path from key's candidate down to node last, whose
+// occupant moves into the usable bucket (table, bucket), into the table's
+// path buffer. The movers' keys come from buckets the search already read
+// and paid for, so they are not charged again.
+//
+//mcvet:hotpath
+func (t *Table) tracePath(nodes []bfsNode, last, table, bucket int) []PathMove {
+	hops := 0
+	for i := last; i >= 0; i = int(nodes[i].parent) {
+		hops++
+	}
+	if cap(t.bfsPath) < hops {
+		t.bfsPath = make([]PathMove, max(hops, 16)) //mcvet:allow hotpathalloc the table-owned path buffer grows to the longest path once, then is reused
+	}
+	path := t.bfsPath[:hops]
+	for i, k := last, hops-1; i >= 0; i, k = int(nodes[i].parent), k-1 {
+		from, fromBucket := int(nodes[i].table), nodes[i].bucket
+		path[k] = PathMove{
+			Key:       t.cells[t.bucketIndex(from, fromBucket)].Key,
+			FromTable: from, FromBucket: fromBucket,
+			ToTable: table, ToBucket: bucket,
+		}
+		table, bucket = from, fromBucket
+	}
+	return path
 }
 
 // ApplyMove executes one path hop, last hop first. The move copies the
@@ -140,15 +166,22 @@ func (t *Table) ApplyMove(m PathMove) error {
 // key/value. done is false exactly when a real collision occurred and a
 // cuckoo path is needed. First stage of the pathwise insertion protocol.
 func (t *Table) TryPlace(key, value uint64) (out kv.Outcome, done bool) {
-	t.stats.Inserts++
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])
+	return t.tryPlace(kv.Entry{Key: key, Value: value}, cand[:t.cfg.D])
+}
+
+// tryPlace is TryPlace over e's precomputed candidates.
+//
+//mcvet:hotpath
+func (t *Table) tryPlace(e kv.Entry, cand []int) (out kv.Outcome, done bool) {
+	t.stats.Inserts++
 	if !t.cfg.AssumeUniqueKeys {
-		if out, handled := t.updateExisting(key, value, cand[:t.cfg.D]); handled {
+		if out, handled := t.updateExisting(e.Key, e.Value, cand); handled {
 			return out, true
 		}
 	}
-	if copies := t.place(kv.Entry{Key: key, Value: value}, cand[:t.cfg.D]); copies > 0 {
+	if copies := t.place(e, cand); copies > 0 {
 		t.size++
 		return kv.Outcome{Status: kv.Placed}, true
 	}
@@ -164,31 +197,44 @@ func (t *Table) StashOverflow(key, value uint64) kv.Outcome {
 }
 
 // FinishPath installs key/value into the candidate bucket the path head
-// vacated (after every ApplyMove has executed, that bucket holds a
-// redundant copy of the head's item). Final stage of the pathwise protocol
-// on the success branch.
+// vacated. After every ApplyMove has executed, the head's item has exactly
+// two copies, in head's From and To buckets, so its surviving copy is known
+// without hashing or reading: only that counter drops back to 1. Final stage
+// of the pathwise protocol on the success branch.
 func (t *Table) FinishPath(key, value uint64, head PathMove, pathLen int) kv.Outcome {
-	t.victimLostCopy(head.Key, head.FromTable, 2)
+	t.setCounter(head.ToTable, head.ToBucket, 1)
 	t.writeBucket(head.FromTable, head.FromBucket, kv.Entry{Key: key, Value: value})
 	t.setCounter(head.FromTable, head.FromBucket, 1)
-	t.copiesTotal++
 	t.size++
 	t.stats.Kicks += int64(pathLen)
 	return kv.Outcome{Status: kv.Placed, Kicks: pathLen}
 }
 
 // InsertPathwise inserts key/value using two-phase cuckoo-path execution:
-// the path is discovered first, then executed from its far end backwards,
-// so the table is a valid McCuckoo table after every step. Functionally
-// equivalent to Insert; the point is bounded mutation steps for concurrent
-// wrappers (Concurrent.InsertPathwise interleaves readers between steps).
+// the path is discovered first by FindPath's breadth-first search, then
+// executed from its far end backwards, so the table is a valid McCuckoo
+// table after every step. Insert does exactly this under the BFS policy;
+// InsertPathwise does it under any policy, and Concurrent.InsertPathwise
+// runs the same stages with the write lock released between moves.
 func (t *Table) InsertPathwise(key, value uint64) kv.Outcome {
-	if out, done := t.TryPlace(key, value); done {
+	var cand [hashutil.MaxD]int
+	t.family.Indexes(key, cand[:])
+	e := kv.Entry{Key: key, Value: value}
+	if out, done := t.tryPlace(e, cand[:t.cfg.D]); done {
 		return out
 	}
-	path, ok := t.FindPath(key)
+	return t.insertAlongPath(e, cand[:t.cfg.D])
+}
+
+// insertAlongPath resolves a real collision by FindPath, ApplyMove from the
+// path's far end back to its head, and FinishPath; with no path within
+// MaxLoop expansions, e goes to the stash.
+//
+//mcvet:hotpath
+func (t *Table) insertAlongPath(e kv.Entry, cand []int) kv.Outcome {
+	path, ok := t.findPath(cand)
 	if !ok {
-		return t.StashOverflow(key, value)
+		return t.overflowInsert(e, cand, 0)
 	}
 	for i := len(path) - 1; i >= 0; i-- {
 		if err := t.ApplyMove(path[i]); err != nil {
@@ -197,5 +243,5 @@ func (t *Table) InsertPathwise(key, value uint64) kv.Outcome {
 			panic(err)
 		}
 	}
-	return t.FinishPath(key, value, path[0], len(path))
+	return t.FinishPath(e.Key, e.Value, path[0], len(path))
 }

@@ -67,7 +67,7 @@ func (t *Table) Grow(growFactor float64) error {
 			t.size++
 			continue
 		}
-		switch out := t.resolveCollision(e, cand[:t.cfg.D]); out.Status {
+		switch out := t.collide(e, cand[:t.cfg.D]); out.Status {
 		case kv.Placed, kv.Stashed:
 		default:
 			return fmt.Errorf("core: grow failed to place key %#x", e.Key)

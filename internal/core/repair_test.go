@@ -36,6 +36,7 @@ func repairMatrix(t *testing.T, load float64, fn func(t *testing.T, tab repairTa
 		{"single", false, Config{BucketsPerTable: 128, Seed: 11, MaxLoop: 100, StashEnabled: true}},
 		{"single-tombstone", false, Config{BucketsPerTable: 128, Seed: 12, MaxLoop: 100, StashEnabled: true, Deletion: Tombstone}},
 		{"single-mincounter", false, Config{BucketsPerTable: 128, Seed: 13, MaxLoop: 100, StashEnabled: true, Policy: kv.MinCounter}},
+		{"single-bfs", false, Config{BucketsPerTable: 128, Seed: 16, MaxLoop: 100, StashEnabled: true, Policy: kv.BFS}},
 		{"blocked", true, Config{BucketsPerTable: 32, Seed: 14, MaxLoop: 100, StashEnabled: true}},
 		{"blocked-tombstone", true, Config{BucketsPerTable: 32, Seed: 15, MaxLoop: 100, StashEnabled: true, Deletion: Tombstone}},
 	}

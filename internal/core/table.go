@@ -53,6 +53,10 @@ type Table struct {
 	//
 	//mcvet:restricted kickcounts
 	kickCounts *bitpack.Counters
+	// bfsQueue and bfsPath are the path search's scratch (see findPath),
+	// reused across searches so a steady-state insert allocates nothing.
+	bfsQueue []bfsNode
+	bfsPath  []PathMove
 
 	overflow *stash.Stash
 	// deletedAny flips when the first ResetCounters deletion happens;

@@ -30,7 +30,9 @@ const (
 	// BFS searches the eviction graph breadth-first for the shortest
 	// relocation path to a free slot, the original cuckoo strategy the
 	// paper contrasts with random walks ("probe for one in BFS order",
-	// §I). Only the single-copy baselines implement it.
+	// §I). The single-copy baselines and the single-slot McCuckoo table
+	// implement it; there the path may end at any bucket whose counter is
+	// not 1. The blocked McCuckoo table rejects it.
 	BFS
 )
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mccuckoo/internal/hashutil"
+	"mccuckoo/internal/kv"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -361,6 +362,31 @@ func TestWithDoubleHashing(t *testing.T) {
 	for _, k := range keys {
 		if _, ok := tab.Lookup(k); !ok {
 			t.Fatalf("key %#x lost with double hashing", k)
+		}
+	}
+}
+
+// TestResolverDefaults: single-slot tables (New, NewSharded) resolve
+// collisions with the breadth-first path search by default, blocked tables
+// keep the paper's random walk, and WithMinCounterResolver overrides both.
+func TestResolverDefaults(t *testing.T) {
+	cases := []struct {
+		blocked bool
+		opts    []Option
+		want    kv.KickPolicy
+	}{
+		{false, nil, kv.BFS},
+		{true, nil, kv.RandomWalk},
+		{false, []Option{WithMinCounterResolver()}, kv.MinCounter},
+		{true, []Option{WithMinCounterResolver()}, kv.MinCounter},
+	}
+	for _, c := range cases {
+		cfg, _, err := buildConfig(600, c.blocked, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Policy != c.want {
+			t.Errorf("blocked=%v with %d options: policy %s, want %s", c.blocked, len(c.opts), cfg.Policy, c.want)
 		}
 	}
 }

@@ -120,7 +120,10 @@ func WithSlots(l int) Option {
 	}
 }
 
-// WithMaxLoop bounds the kick-out chain length (default 500).
+// WithMaxLoop bounds collision resolution (default 500). Under the BFS path
+// search, the default for New and NewSharded, it bounds how many buckets the
+// search reads; under the random walk of blocked tables and under
+// WithMinCounterResolver, it bounds the kick-out chain length.
 func WithMaxLoop(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -132,6 +135,7 @@ func WithMaxLoop(n int) Option {
 }
 
 // WithSeed fixes the hash seeds and the random walk for reproducibility.
+// (The BFS path search of New and NewSharded is deterministic by itself.)
 func WithSeed(seed uint64) Option {
 	return func(c *config) error { c.seed = seed; return nil }
 }
@@ -161,8 +165,10 @@ func WithTombstoneDeletion() Option {
 	return func(c *config) error { c.deletion = core.Tombstone; return nil }
 }
 
-// WithMinCounterResolver switches collision resolution from the paper's
-// random walk to MinCounter-style victim selection.
+// WithMinCounterResolver switches collision resolution from the default —
+// the breadth-first path search for New and NewSharded, the paper's random
+// walk for NewBlocked — to a random walk with MinCounter-style victim
+// selection.
 func WithMinCounterResolver() Option {
 	return func(c *config) error { c.policy = kv.MinCounter; return nil }
 }
@@ -234,9 +240,12 @@ func buildConfig(capacity int, blocked bool, opts []Option) (core.Config, *Telem
 	if capacity < 8 {
 		return core.Config{}, nil, fmt.Errorf("mccuckoo: capacity must be at least 8, got %d", capacity)
 	}
-	c := config{d: 3, slots: 1, seed: 1}
+	// Single-slot tables resolve collisions with the breadth-first path
+	// search by default; blocked tables keep the paper's random walk.
+	c := config{d: 3, slots: 1, seed: 1, policy: kv.BFS}
 	if blocked {
 		c.slots = 3
+		c.policy = kv.RandomWalk
 	}
 	for _, opt := range opts {
 		if err := opt(&c); err != nil {

@@ -332,10 +332,11 @@ var _ = [1]struct{}{}[Status(kv.Failed)-Failed]
 func (t *Table) Grow(growFactor float64) error { return t.inner.Grow(growFactor) }
 
 // InsertPathwise inserts using two-phase cuckoo-path execution: the
-// relocation path is discovered first, then applied one bounded step at a
-// time, with the table in a fully consistent state between steps.
-// Functionally equivalent to Insert; Concurrent.InsertPathwise exploits the
-// bounded steps to interleave readers during long relocation chains.
+// shortest relocation path is found first by breadth-first search, then
+// applied one bounded step at a time from its far end, with the table in a
+// fully consistent state between steps. It is what Insert does under the
+// default resolver; Concurrent.InsertPathwise exploits the bounded steps to
+// interleave readers during relocations.
 func (t *Table) InsertPathwise(key, value uint64) InsertResult {
 	return fromOutcome(t.inner.InsertPathwise(key, value))
 }
