@@ -23,6 +23,8 @@
 # convergence) run again under the race detector, which is what actually
 # exercises the reader/writer interleavings their tests stage. Test gates
 # run with -shuffle=on so inter-test ordering dependencies cannot hide.
+# Non-Linux vet: internal/core under GOOS=windows, so the no-op build of
+# the huge-page advice keeps compiling.
 # perfbench gate: vet and tests of the separate benchmark module, which
 # ./... does not include.
 # Chaos smoke: the short-mode netchaos drill (seeded partition + heal +
@@ -93,6 +95,11 @@ rm -f "${mcvet_out}"
 
 say "go build: compiling all packages"
 go build ./...
+
+say "go vet (GOOS=windows): the non-Linux build of internal/core"
+# Huge-page advice is Linux-only (hugepage_linux.go) with a no-op twin for
+# every other OS; vetting a non-Linux target keeps the twin compiling.
+GOOS=windows go vet ./internal/core/...
 
 say "go test: full suite"
 go test -shuffle=on ./...

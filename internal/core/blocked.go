@@ -48,6 +48,10 @@ type BlockedTable struct {
 	//
 	//mcvet:restricted kickcounts
 	kickCounts *bitpack.Counters
+	// pathBuf and pathVisited are FindPath's scratch, reused across
+	// searches so a steady-state pathwise insert allocates nothing.
+	pathBuf     []BlockedPathMove
+	pathVisited []int
 
 	overflow   *stash.Stash
 	deletedAny bool
@@ -81,18 +85,16 @@ func NewBlocked(cfg Config) (*BlockedTable, error) {
 	if err != nil {
 		return nil, err
 	}
+	keys, vals, hints := newSlotArrays(slots)
 	t := &BlockedTable{
 		cfg:      cfg,
 		family:   family,
 		rng:      rand.New(rand.NewPCG(cfg.Seed, hashutil.Mix64(cfg.Seed+3))),
-		keys:     make([]uint64, slots),
-		vals:     make([]uint64, slots),
-		hints:    make([][4]int8, slots),
+		keys:     keys,
+		vals:     vals,
+		hints:    hints,
 		counters: counters,
 		flags:    flags,
-	}
-	for i := range t.hints {
-		t.hints[i] = [4]int8{noSlot, noSlot, noSlot, noSlot}
 	}
 	if cfg.Deletion == Tombstone {
 		t.tombstoneVal = uint64(cfg.D) + 1
@@ -110,6 +112,19 @@ func NewBlocked(cfg Config) (*BlockedTable, error) {
 		}
 	}
 	return t, nil
+}
+
+// newSlotArrays makes the off-chip slot arrays of a table with the given
+// number of slots, advised for huge pages, with every hint empty.
+func newSlotArrays(slots int) (keys, vals []uint64, hints [][4]int8) {
+	keys, vals, hints = make([]uint64, slots), make([]uint64, slots), make([][4]int8, slots)
+	adviseHugePages(keys)
+	adviseHugePages(vals)
+	adviseHugePages(hints)
+	for i := range hints {
+		hints[i] = [4]int8{noSlot, noSlot, noSlot, noSlot}
+	}
+	return keys, vals, hints
 }
 
 // slotIndex returns the flat index of (table, bucket, slot).

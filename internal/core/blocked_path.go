@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
@@ -23,16 +24,22 @@ type BlockedPathMove struct {
 // FindPath searches for a cuckoo path at slot granularity without mutating
 // the table. Unlike Table.FindPath's breadth-first search it walks from a
 // random candidate, extending through random unvisited buckets. Paths are
-// bucket-disjoint. ok is false when no path within MaxLoop hops exists.
+// bucket-disjoint. ok is false when no path within MaxLoop hops exists. The
+// path's backing array is scratch owned by the table and is overwritten by
+// the next search.
+//
+//mcvet:hotpath
 func (t *BlockedTable) FindPath(key uint64) ([]BlockedPathMove, bool) {
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])
 
-	path := make([]BlockedPathMove, 0, 8)
+	// The walk visits at most MaxLoop+1 buckets, so a linear scan of the
+	// table-owned visited list is cheap and, unlike a map, reused.
+	path, visited := t.pathBuf[:0], t.pathVisited[:0]
 	curTable := t.rng.IntN(t.cfg.D)
 	curBucket := cand[curTable]
 	curSlot := t.rng.IntN(t.cfg.Slots)
-	visited := map[int]bool{t.bucketFlagIndex(curTable, curBucket): true}
+	visited = append(visited, t.bucketFlagIndex(curTable, curBucket)) //mcvet:allow hotpathalloc the table-owned visited list grows to the longest walk once, then is reused
 	var cnt [8]uint64
 	for hop := 0; hop < t.cfg.MaxLoop; hop++ {
 		t.readBucketAccess(curTable, curBucket)
@@ -43,17 +50,18 @@ func (t *BlockedTable) FindPath(key uint64) ([]BlockedPathMove, bool) {
 		// A usable destination is any slot with counter != 1 in one of
 		// the victim's other, unvisited candidate buckets.
 		for j := 0; j < t.cfg.D; j++ {
-			if j == curTable || visited[t.bucketFlagIndex(j, vcand[j])] {
+			if j == curTable || slices.Contains(visited, t.bucketFlagIndex(j, vcand[j])) {
 				continue
 			}
 			t.bucketCounters(j, vcand[j], cnt[:t.cfg.Slots])
 			for s := 0; s < t.cfg.Slots; s++ {
 				if cnt[s] != 1 {
-					path = append(path, BlockedPathMove{
+					path = append(path, BlockedPathMove{ //mcvet:allow hotpathalloc the table-owned path buffer grows to the longest path once, then is reused
 						Key:       victim,
 						FromTable: curTable, FromBucket: curBucket, FromSlot: curSlot,
 						ToTable: j, ToBucket: vcand[j], ToSlot: s,
 					})
+					t.pathBuf, t.pathVisited = path, visited
 					return path, true
 				}
 			}
@@ -62,24 +70,25 @@ func (t *BlockedTable) FindPath(key uint64) ([]BlockedPathMove, bool) {
 		var opts [hashutil.MaxD]int
 		nOpts := 0
 		for j := 0; j < t.cfg.D; j++ {
-			if j != curTable && !visited[t.bucketFlagIndex(j, vcand[j])] {
+			if j != curTable && !slices.Contains(visited, t.bucketFlagIndex(j, vcand[j])) {
 				opts[nOpts] = j
 				nOpts++
 			}
 		}
 		if nOpts == 0 {
-			return nil, false
+			break
 		}
 		next := opts[t.rng.IntN(nOpts)]
 		nextSlot := t.rng.IntN(t.cfg.Slots)
-		path = append(path, BlockedPathMove{
+		path = append(path, BlockedPathMove{ //mcvet:allow hotpathalloc the table-owned path buffer grows to the longest path once, then is reused
 			Key:       victim,
 			FromTable: curTable, FromBucket: curBucket, FromSlot: curSlot,
 			ToTable: next, ToBucket: vcand[next], ToSlot: nextSlot,
 		})
 		curTable, curBucket, curSlot = next, vcand[next], nextSlot
-		visited[t.bucketFlagIndex(curTable, curBucket)] = true
+		visited = append(visited, t.bucketFlagIndex(curTable, curBucket)) //mcvet:allow hotpathalloc the table-owned visited list grows to the longest walk once, then is reused
 	}
+	t.pathBuf, t.pathVisited = path, visited
 	return nil, false
 }
 

@@ -261,6 +261,48 @@ func TestBlockedInsertPathwiseHighLoad(t *testing.T) {
 	}
 }
 
+// TestBlockedInsertPathwiseZeroAlloc: once the walk's scratch has grown, a
+// pathwise insert into a blocked table at high load allocates nothing. Every
+// measured insert is a real collision (all candidate slots hold sole
+// copies), so every one of them searches a path.
+func TestBlockedInsertPathwiseZeroAlloc(t *testing.T) {
+	tab := mustNewBlocked(t, Config{BucketsPerTable: 1024, Seed: 73, AssumeUniqueKeys: true,
+		StashEnabled: true})
+	keys := fillKeys(74, 1<<16)
+	fill := int(0.95 * float64(tab.Capacity()))
+	for _, k := range keys[:fill] {
+		tab.InsertPathwise(k, k)
+	}
+	collides := func(k uint64) bool {
+		var cand [hashutil.MaxD]int
+		tab.family.Indexes(k, cand[:])
+		for j := 0; j < tab.cfg.D; j++ {
+			for s := 0; s < tab.cfg.Slots; s++ {
+				if tab.counters.Get(tab.slotIndex(j, cand[j], s)) != 1 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	kicks := tab.Stats().Kicks
+	next := fill
+	allocs := testing.AllocsPerRun(100, func() {
+		for !collides(keys[next]) {
+			next++
+		}
+		tab.InsertPathwise(keys[next], keys[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("InsertPathwise at 95%% load allocates %.2f times per call", allocs)
+	}
+	if tab.Stats().Kicks == kicks {
+		t.Fatal("no measured insert searched a path")
+	}
+	checkBlockedInv(t, tab)
+}
+
 func TestBlockedPathwiseInvariantsEveryStep(t *testing.T) {
 	tab := mustNewBlocked(t, Config{BucketsPerTable: 64, Seed: 69, AssumeUniqueKeys: true,
 		StashEnabled: true})

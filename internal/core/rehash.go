@@ -51,6 +51,7 @@ func (t *Table) Grow(growFactor float64) error {
 	t.counters = counters
 	t.flags = flags
 	t.cells = make([]kv.Entry, buckets)
+	adviseHugePages(t.cells)
 	if t.kickCounts != nil {
 		if t.kickCounts, err = bitpack.NewCounters(buckets, 5); err != nil {
 			return err
@@ -131,12 +132,7 @@ func (t *BlockedTable) Grow(growFactor float64) error {
 	t.family = family
 	t.counters = counters
 	t.flags = flags
-	t.keys = make([]uint64, slots)
-	t.vals = make([]uint64, slots)
-	t.hints = make([][4]int8, slots)
-	for i := range t.hints {
-		t.hints[i] = [4]int8{noSlot, noSlot, noSlot, noSlot}
-	}
+	t.keys, t.vals, t.hints = newSlotArrays(slots)
 	if t.kickCounts != nil {
 		if t.kickCounts, err = bitpack.NewCounters(t.cfg.D*newN, 5); err != nil {
 			return err

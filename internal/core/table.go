@@ -94,11 +94,13 @@ func New(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	cells := make([]kv.Entry, buckets)
+	adviseHugePages(cells)
 	t := &Table{
 		cfg:      cfg,
 		family:   family,
 		rng:      rand.New(rand.NewPCG(cfg.Seed, hashutil.Mix64(cfg.Seed+2))),
-		cells:    make([]kv.Entry, buckets),
+		cells:    cells,
 		flags:    flags,
 		counters: counters,
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -170,6 +171,59 @@ func TestReportRoundTripAndLegacyLoad(t *testing.T) {
 	}
 	if lr == nil || lr.SchemaVersion != 1 || lr.Benchmark != "old-style" {
 		t.Fatalf("legacy envelope not recovered: %+v", lr)
+	}
+}
+
+// TestEnvironmentTHP: the THP mode is the bracketed word of the kernel
+// setting, and a BENCH file recorded before the field existed loads with it
+// empty and writes back without it.
+func TestEnvironmentTHP(t *testing.T) {
+	for in, want := range map[string]string{
+		"always [madvise] never\n": "madvise",
+		"[always] madvise never":   "always",
+		"always madvise [never]":   "never",
+		"always madvise never":     "",
+		"[always":                  "",
+		"":                         "",
+	} {
+		if got := bracketed(in); got != want {
+			t.Errorf("bracketed(%q) = %q, want %q", in, got, want)
+		}
+	}
+
+	dir := t.TempDir()
+	old := `{"schema_version": 2, "benchmark": "core", "recorded": "2026-08-08",
+"command": "go run ./cmd/mcperf record -suite core",
+"environment": {"go": "go1.24.0", "os": "linux", "arch": "amd64", "cpus": 1, "gomaxprocs": 1},
+"series": [{"name": "a", "scale": 10, "ops": 1000, "reps": 3, "ns_per_op": 45.6, "allocs_per_op": 0}]}`
+	path := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if r.Environment.THP != "" || r.Environment.GOMAXPROCS != 1 || len(r.Series) != 1 {
+		t.Fatalf("old file loaded wrongly: %+v", r)
+	}
+	again := filepath.Join(dir, "again.json")
+	if err := r.WriteFile(again); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), `"thp"`) {
+		t.Fatalf("empty THP mode was written:\n%s", b)
+	}
+	r2, err := Load(again)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if r2.Environment != r.Environment {
+		t.Fatalf("environment changed in the round trip: %+v, want %+v", r2.Environment, r.Environment)
 	}
 }
 

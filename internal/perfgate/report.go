@@ -48,6 +48,10 @@ type Environment struct {
 	CPU        string `json:"cpu,omitempty"`
 	CPUs       int    `json:"cpus"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// THP is the host's transparent-huge-page mode (always, madvise or
+	// never; empty where the kernel has none). Large tables are advised
+	// for huge pages, so their timings depend on it.
+	THP string `json:"thp,omitempty"`
 }
 
 // Series is one measured configuration. NsPerOp and AllocsPerOp are the
@@ -79,7 +83,30 @@ func CurrentEnvironment() Environment {
 		CPU:        cpuModel(),
 		CPUs:       runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		THP:        thpMode(),
 	}
+}
+
+// thpMode best-effort reads the bracketed (active) word of the kernel's
+// transparent-huge-page setting, "always [madvise] never" → "madvise";
+// empty when the setting is absent.
+func thpMode() string {
+	b, _ := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled") // absent reads as empty: no bracket, no mode
+	return bracketed(string(b))
+}
+
+// bracketed returns the word between the first "[" and the next "]" in s,
+// or "" if there is none.
+func bracketed(s string) string {
+	_, rest, ok := strings.Cut(s, "[")
+	if !ok {
+		return ""
+	}
+	word, _, ok := strings.Cut(rest, "]")
+	if !ok {
+		return ""
+	}
+	return word
 }
 
 // cpuModel best-effort reads the CPU model name (linux only; empty
