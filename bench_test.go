@@ -195,71 +195,6 @@ func BenchmarkAblationDeletion(b *testing.B) {
 
 // --- per-operation microbenchmarks of the public API ---
 
-func newBenchTable(b *testing.B, load float64) (*mccuckoo.Table, []uint64) {
-	b.Helper()
-	tab, err := mccuckoo.New(3*65536, mccuckoo.WithSeed(7), mccuckoo.WithUniqueKeys())
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := int(load * float64(tab.Capacity()))
-	s := uint64(9)
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = hashutil.SplitMix64(&s)
-		if tab.Insert(keys[i], keys[i]).Status == mccuckoo.Failed {
-			b.Fatal("fill failed")
-		}
-	}
-	return tab, keys
-}
-
-func BenchmarkInsert(b *testing.B) {
-	for _, load := range []float64{0.5, 0.85} {
-		b.Run(fmt.Sprintf("load=%.0f%%", load*100), func(b *testing.B) {
-			tab, err := mccuckoo.New(3*65536, mccuckoo.WithSeed(7), mccuckoo.WithUniqueKeys())
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := int(load * float64(tab.Capacity()))
-			s := uint64(9)
-			for i := 0; i < n; i++ {
-				tab.Insert(hashutil.SplitMix64(&s), 1)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := hashutil.SplitMix64(&s)
-				tab.Insert(k, k)
-				b.StopTimer()
-				tab.Delete(k)
-				b.StartTimer()
-			}
-		})
-	}
-}
-
-func BenchmarkLookupHit(b *testing.B) {
-	for _, load := range []float64{0.5, 0.85} {
-		b.Run(fmt.Sprintf("load=%.0f%%", load*100), func(b *testing.B) {
-			tab, keys := newBenchTable(b, load)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := tab.Lookup(keys[i%len(keys)]); !ok {
-					b.Fatal("lost key")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkLookupMiss(b *testing.B) {
-	tab, _ := newBenchTable(b, 0.85)
-	s := uint64(0xdead)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.Lookup(hashutil.SplitMix64(&s))
-	}
-}
-
 func BenchmarkMapString(b *testing.B) {
 	m, err := mccuckoo.NewMap[string, int](3*65536, mccuckoo.StringHasher, mccuckoo.WithSeed(5))
 	if err != nil {

@@ -1,9 +1,38 @@
 package bitpack
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// panicMessage runs f and returns the printed form of its panic value, or
+// "" when f returns normally.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// wantPanic fails unless f panics with a message containing every part.
+func wantPanic(t *testing.T, what string, f func(), parts ...string) {
+	t.Helper()
+	msg := panicMessage(f)
+	if msg == "" {
+		t.Errorf("%s did not panic", what)
+		return
+	}
+	for _, p := range parts {
+		if !strings.Contains(msg, p) {
+			t.Errorf("%s panicked with %q, want it to contain %q", what, msg, p)
+		}
+	}
+}
 
 func TestCountersValidation(t *testing.T) {
 	if _, err := NewCounters(-1, 2); err == nil {
@@ -61,25 +90,18 @@ func TestCountersDec(t *testing.T) {
 
 func TestCountersSetOverflowPanics(t *testing.T) {
 	c, _ := NewCounters(4, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("Set(_, 4) on 2-bit counter did not panic")
-		}
-	}()
-	c.Set(0, 4)
+	wantPanic(t, "Set(0, 4) on a 2-bit counter", func() { c.Set(0, 4) }, "value 4", "2-bit")
 }
 
 func TestCountersOutOfRangePanics(t *testing.T) {
-	c, _ := NewCounters(4, 2)
-	for _, i := range []int{-1, 4} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Get(%d) did not panic", i)
-				}
-			}()
-			c.Get(i)
-		}()
+	// Width 2 takes the shift path, width 3 the division path.
+	for _, width := range []uint{2, 3} {
+		c, _ := NewCounters(4, width)
+		for _, i := range []int{-1, 4} {
+			idx := fmt.Sprintf("index %d ", i)
+			wantPanic(t, fmt.Sprintf("Get(%d), width %d", i, width), func() { c.Get(i) }, idx, "[0,4)")
+			wantPanic(t, fmt.Sprintf("Set(%d), width %d", i, width), func() { c.Set(i, 1) }, idx, "[0,4)")
+		}
 	}
 }
 
@@ -262,10 +284,10 @@ func TestBitsetWordsRoundTrip(t *testing.T) {
 
 func TestBitsetClearOutOfRange(t *testing.T) {
 	b, _ := NewBitset(8)
-	defer func() {
-		if recover() == nil {
-			t.Error("Clear(-1) did not panic")
-		}
-	}()
-	b.Clear(-1)
+	for _, i := range []int{-1, 8} {
+		idx := fmt.Sprintf("bit index %d ", i)
+		wantPanic(t, fmt.Sprintf("Clear(%d)", i), func() { b.Clear(i) }, idx, "[0,8)")
+		wantPanic(t, fmt.Sprintf("Get(%d)", i), func() { b.Get(i) }, idx, "[0,8)")
+		wantPanic(t, fmt.Sprintf("Set(%d)", i), func() { b.Set(i) }, idx, "[0,8)")
+	}
 }

@@ -62,7 +62,21 @@ func (c *Counters) Width() uint { return c.width }
 // Max returns the largest value a counter can hold.
 func (c *Counters) Max() uint64 { return c.mask }
 
-// Get returns counter i.
+// IndexError is the panic value of an index outside a Counters or Bitset.
+// A typed value instead of a formatted string keeps the range check cheap
+// enough for Get and the Bitset accessors to inline into the table's loops;
+// the message is formatted only when the panic is printed.
+type IndexError struct {
+	What string // "counter" or "bit"
+	I, N int
+}
+
+func (e IndexError) Error() string {
+	return fmt.Sprintf("bitpack: %s index %d out of range [0,%d)", e.What, e.I, e.N)
+}
+
+// Get returns counter i. It inlines into callers (pinned by
+// TestHotPathInlines).
 func (c *Counters) Get(i int) uint64 {
 	word, shift := c.locate(i)
 	return (c.words[word] >> shift) & c.mask
@@ -100,9 +114,13 @@ func (c *Counters) Reset() {
 // on-chip SRAM the counter array would occupy.
 func (c *Counters) SizeBytes() int { return len(c.words) * 8 }
 
+// locate maps counter i to its word and bit offset. Both branches stay
+// inline: moving the division for widths whose perWord is not a power of two
+// into a call would push Get over the inliner's budget of 80 (a call alone
+// costs 57), and the branch goes the same way for every access to one array.
 func (c *Counters) locate(i int) (word int, shift uint) {
 	if uint(i) >= uint(c.n) {
-		panic(fmt.Sprintf("bitpack: counter index %d out of range [0,%d)", i, c.n))
+		panic(IndexError{"counter", i, c.n})
 	}
 	if c.log2PerWord >= 0 {
 		return i >> uint(c.log2PerWord), uint(i&(c.perWord-1)) * c.width

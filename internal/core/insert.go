@@ -83,7 +83,8 @@ func (t *Table) place(e kv.Entry, cand []int) int {
 
 	// Principle 1: occupy every free candidate.
 	for i := 0; i < d; i++ {
-		if t.isFree(t.counterAt(i, cand[i])) {
+		t.meter.ReadOn(1)
+		if t.isFree(t.counters.Get(t.bucketIndex(i, cand[i]))) {
 			t.writeBucket(i, cand[i], e)
 			copies++
 			t.setCounter(i, cand[i], uint64(copies))
@@ -101,15 +102,16 @@ func (t *Table) place(e kv.Entry, cand []int) int {
 			if owned[i] {
 				continue
 			}
-			if v := t.counterAt(i, cand[i]); !t.isFree(v) && v > bestV {
+			t.meter.ReadOn(1)
+			if v := t.counters.Get(t.bucketIndex(i, cand[i])); !t.isFree(v) && v > bestV {
 				best, bestV = i, v
 			}
 		}
 		if best < 0 || bestV < uint64(copies)+2 {
 			break
 		}
-		victimKey := t.readBucket(best, cand[best])
-		t.victimLostCopy(victimKey, best, bestV)
+		t.meter.ReadOff(1)
+		t.victimLostCopy(t.cells[t.bucketIndex(best, cand[best])].Key, best, bestV)
 		t.writeBucket(best, cand[best], e)
 		copies++
 		t.setCounter(best, cand[best], uint64(copies))
@@ -151,7 +153,8 @@ func (t *Table) victimLostCopy(victimKey uint64, lostTable int, v uint64) {
 		if j == lostTable {
 			continue
 		}
-		if t.counterAt(j, vcand[j]) == v {
+		t.meter.ReadOn(1)
+		if t.counters.Get(t.bucketIndex(j, vcand[j])) == v {
 			w[nw] = j
 			nw++
 		}
@@ -170,7 +173,8 @@ func (t *Table) victimLostCopy(victimKey uint64, lostTable int, v uint64) {
 			found++
 			continue
 		}
-		if t.readBucket(j, vcand[j]) == victimKey {
+		t.meter.ReadOff(1)
+		if t.cells[t.bucketIndex(j, vcand[j])].Key == victimKey {
 			t.setCounter(j, vcand[j], v-1)
 			found++
 		}
@@ -202,7 +206,8 @@ func (t *Table) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
 		// avoiding an immediate bounce back to the bucket cur was
 		// just evicted from.
 		r := t.pickVictimTable(curCand[:t.cfg.D], prevTable)
-		victim := t.readEntry(r, curCand[r])
+		t.meter.ReadOff(1)
+		victim := t.cells[t.bucketIndex(r, curCand[r])]
 		t.writeBucket(r, curCand[r], cur)
 		// The bucket's counter is already 1 (sole copy out, sole copy
 		// in), so no counter update is needed.

@@ -131,13 +131,14 @@ func (t *Table) scanAll(key uint64, cand []int, st *scanState) {
 	st.found = -1
 	st.earlyMiss = false
 	for i := 0; i < t.cfg.D; i++ {
-		gotKey := t.readBucket(i, cand[i])
+		j := t.bucketIndex(i, cand[i])
+		t.meter.ReadOff(1)
 		st.readMask |= 1 << uint(i)
 		// Liveness comes from a valid bit that a counter-less
 		// implementation would keep inside the bucket record, so it is
 		// read with the bucket at no extra charge.
-		if gotKey == key && !t.isFree(t.counters.Get(t.bucketIndex(i, cand[i]))) {
-			st.value = t.cells[t.bucketIndex(i, cand[i])].Value
+		if t.cells[j].Key == key && !t.isFree(t.counters.Get(j)) {
+			st.value = t.cells[j].Value
 			st.found = i
 			return
 		}
@@ -243,9 +244,9 @@ func (t *Table) locateCopies(key uint64, cand []int, buf *[hashutil.MaxD]int, st
 	}
 	for k := 0; k < nr && needed > 0; k++ {
 		i := rest[k]
-		gotKey := t.readBucket(i, cand[i])
+		t.meter.ReadOff(1)
 		st.readMask |= 1 << uint(i)
-		if gotKey == key {
+		if t.cells[t.bucketIndex(i, cand[i])].Key == key {
 			tables = append(tables, i)
 			needed--
 		}

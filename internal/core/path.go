@@ -77,12 +77,14 @@ func (t *Table) findPath(cand []int) ([]PathMove, bool) {
 	for head := 0; head < len(nodes) && head < t.cfg.MaxLoop; head++ {
 		from, fromBucket := int(nodes[head].table), nodes[head].bucket
 		var vcand [hashutil.MaxD]int
-		t.family.Indexes(t.readBucket(from, fromBucket), vcand[:])
+		t.meter.ReadOff(1)
+		t.family.Indexes(t.cells[t.bucketIndex(from, fromBucket)].Key, vcand[:])
 		for j := 0; j < d; j++ {
 			if j == from {
 				continue
 			}
-			if t.counterAt(j, vcand[j]) != 1 {
+			t.meter.ReadOn(1)
+			if t.counters.Get(t.bucketIndex(j, vcand[j])) != 1 {
 				t.bfsQueue = nodes
 				return t.tracePath(nodes, head, j, vcand[j]), true
 			}
@@ -128,24 +130,28 @@ func (t *Table) tracePath(nodes []bfsNode, last, table, bucket int) []PathMove {
 // the final hop by construction and for earlier hops because the later
 // item's departure left a redundant copy behind.
 func (t *Table) ApplyMove(m PathMove) error {
-	destCnt := t.counterAt(m.ToTable, m.ToBucket)
+	to, from := t.bucketIndex(m.ToTable, m.ToBucket), t.bucketIndex(m.FromTable, m.FromBucket)
+	t.meter.ReadOn(1)
+	destCnt := t.counters.Get(to)
 	switch {
 	case t.isFree(destCnt):
 		// Plain copy into an empty bucket.
 	case destCnt >= 2:
 		// Overwrite a redundant copy of the destination's occupant.
-		occKey := t.readBucket(m.ToTable, m.ToBucket)
-		t.victimLostCopy(occKey, m.ToTable, destCnt)
+		t.meter.ReadOff(1)
+		t.victimLostCopy(t.cells[to].Key, m.ToTable, destCnt)
 	default:
 		return fmt.Errorf("core: path move destination (%d,%d) holds a sole copy", m.ToTable, m.ToBucket)
 	}
 	// Verify the mover is still where the path found it (it must be:
 	// the single-writer contract means nothing else mutates).
-	src := t.readEntry(m.FromTable, m.FromBucket)
+	t.meter.ReadOff(1)
+	src := t.cells[from]
 	if src.Key != m.Key {
 		return fmt.Errorf("core: path move source changed: want key %#x, found %#x", m.Key, src.Key)
 	}
-	srcCnt := t.counterAt(m.FromTable, m.FromBucket)
+	t.meter.ReadOn(1)
+	srcCnt := t.counters.Get(from)
 	t.writeBucket(m.ToTable, m.ToBucket, src)
 	// The mover now has one more copy; raise the counters of all its
 	// copies. Its copies are exactly the buckets the path knows about
