@@ -9,8 +9,11 @@
 # through sanctioned setters, and deterministic snapshot/repair paths. It
 # runs before the test suite because its findings are cheaper to read than
 # the test failures they predict.
-# Race gate: the concurrency-bearing packages (internal/core's RWMutex
-# wrapper and pathwise inserts, internal/shard's partitioned table,
+# Race gate: the concurrency-bearing packages (the root package, whose
+# Concurrent wrapper takes writers from several goroutines and records
+# telemetry from parallel readers; cmd/mcserved, which serves the
+# single-writer kinds through it to many connections; internal/core's
+# RWMutex wrapper and pathwise inserts, internal/shard's partitioned table,
 # internal/faultinject which drives both, internal/wire's pipelined
 # server/client — TestServerUnderTrafficWithScrape is the
 # server-under-traffic smoke, a client fleet hammering a telemetry-scraped
@@ -114,7 +117,7 @@ say "perfbench: vet + tests of the benchmark module"
 say "go test -race: concurrency-bearing packages"
 # The ./internal/telemetry/... wildcard covers the trace subpackage, whose
 # seqlock span ring and concurrent-scrape tests are race-gated here.
-go test -race -shuffle=on ./internal/core/... ./internal/shard/... ./internal/faultinject/... ./internal/telemetry/... ./internal/wire/... ./internal/netchaos/... ./internal/cluster/...
+go test -race -shuffle=on . ./cmd/mcserved ./internal/core/... ./internal/shard/... ./internal/faultinject/... ./internal/telemetry/... ./internal/wire/... ./internal/netchaos/... ./internal/cluster/...
 
 say "chaos smoke: seeded partition + heal + digest equality"
 go test -race -short -run 'TestChaos|TestNetchaos' ./internal/netchaos/... ./internal/cluster/...

@@ -77,10 +77,9 @@ func main() {
 	}
 }
 
-// saver and sampler are the optional capabilities of the concrete kinds
-// behind the BatchStore interface.
+// saver is the snapshot capability of the concrete kinds behind the
+// BatchStore interface.
 type saver interface{ SaveFile(path string) error }
-type sampler interface{ SampleTelemetry() }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mcserved", flag.ContinueOnError)
@@ -261,28 +260,26 @@ func run(args []string, stdout io.Writer) error {
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	defer signal.Stop(sigs)
 
-	// Background duties: periodic checkpoints and gauge sampling for the
-	// single-writer kinds (sharded gauges are live and need no push).
+	// Background duty: periodic checkpoints. Every served kind's gauges are
+	// live (Sharded reads its shards, Concurrent its wrapped table at each
+	// scrape), so nothing needs sampling.
 	stopHousekeeping := make(chan struct{})
 	housekeepingDone := make(chan struct{})
 	go func() {
 		defer close(housekeepingDone)
-		interval := *checkpoint
-		if interval <= 0 {
-			interval = 10 * time.Second // sampling-only cadence
+		if *checkpoint <= 0 || *snapshot == "" {
+			<-stopHousekeeping
+			return
 		}
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(*checkpoint)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-stopHousekeeping:
 				return
 			case <-ticker.C:
-				sampleGauges(store)
-				if *checkpoint > 0 && *snapshot != "" {
-					if err := saveSnapshot(store, *snapshot, sidecarPath); err != nil {
-						logger.Printf("checkpoint: %v", err)
-					}
+				if err := saveSnapshot(store, *snapshot, sidecarPath); err != nil {
+					logger.Printf("checkpoint: %v", err)
 				}
 			}
 		}
@@ -349,7 +346,8 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // buildStore constructs (or restores) the served table. Single-writer
-// kinds are wrapped in wire.Locked; Sharded serves as-is.
+// kinds are wrapped in mccuckoo.Concurrent, which serializes writes and
+// runs reads in parallel; Sharded serves as-is.
 func buildStore(kind string, capacity, shards int, seed uint64, load string, tel *mccuckoo.Telemetry) (mccuckoo.BatchStore, error) {
 	opts := []mccuckoo.Option{mccuckoo.WithSeed(seed), mccuckoo.WithTelemetry(tel)}
 	if load != "" {
@@ -363,13 +361,13 @@ func buildStore(kind string, capacity, shards int, seed uint64, load string, tel
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewLocked(t), nil
+		return mccuckoo.NewConcurrent(t), nil
 	case "blocked":
 		t, err := mccuckoo.NewBlocked(capacity, opts...)
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewLocked(t), nil
+		return mccuckoo.NewConcurrent(t), nil
 	default:
 		return nil, fmt.Errorf("unknown -kind %q (want sharded, single, or blocked)", kind)
 	}
@@ -386,12 +384,12 @@ func loadStore(path string, tel *mccuckoo.Telemetry) (mccuckoo.BatchStore, error
 		errs = append(errs, "sharded: "+err.Error())
 	}
 	if t, err := mccuckoo.LoadFile(path, opts...); err == nil {
-		return wire.NewLocked(t), nil
+		return mccuckoo.NewConcurrent(t), nil
 	} else {
 		errs = append(errs, "single: "+err.Error())
 	}
 	if t, err := mccuckoo.LoadBlockedFile(path, opts...); err == nil {
-		return wire.NewLocked(t), nil
+		return mccuckoo.NewConcurrent(t), nil
 	} else {
 		errs = append(errs, "blocked: "+err.Error())
 	}
@@ -409,10 +407,10 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// saveSnapshot checkpoints any kind: Locked wrappers save under their
-// mutex via Do, Sharded saves through its own shard locking. A Replicated
-// store checkpoints the value snapshot and its replication sidecar as one
-// consistent pair.
+// saveSnapshot checkpoints any kind: a Concurrent wrapper saves its table
+// under the write lock via Do, Sharded saves through its own shard locking.
+// A Replicated store checkpoints the value snapshot and its replication
+// sidecar as one consistent pair.
 func saveSnapshot(store mccuckoo.BatchStore, path, sidecar string) error {
 	if rep, ok := store.(*wire.Replicated); ok {
 		if sidecar == "" {
@@ -422,34 +420,13 @@ func saveSnapshot(store mccuckoo.BatchStore, path, sidecar string) error {
 			return saveSnapshot(rep.Inner(), path, "")
 		}, sidecar)
 	}
-	if l, ok := store.(*wire.Locked); ok {
+	if c, ok := store.(*mccuckoo.Concurrent); ok {
 		var err error
-		l.Do(func(s mccuckoo.BatchStore) {
-			if sv, ok := s.(saver); ok {
-				err = sv.SaveFile(path)
-			} else {
-				err = fmt.Errorf("kind %T cannot snapshot", s)
-			}
-		})
+		c.Do(func(s mccuckoo.BatchStore) { err = saveSnapshot(s, path, "") })
 		return err
 	}
 	if sv, ok := store.(saver); ok {
 		return sv.SaveFile(path)
 	}
 	return fmt.Errorf("kind %T cannot snapshot", store)
-}
-
-// sampleGauges pushes fresh gauge values for kinds whose telemetry is
-// push-based.
-func sampleGauges(store mccuckoo.BatchStore) {
-	if rep, ok := store.(*wire.Replicated); ok {
-		store = rep.Inner()
-	}
-	if l, ok := store.(*wire.Locked); ok {
-		l.Do(func(s mccuckoo.BatchStore) {
-			if sm, ok := s.(sampler); ok {
-				sm.SampleTelemetry()
-			}
-		})
-	}
 }

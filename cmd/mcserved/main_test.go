@@ -69,13 +69,23 @@ func sigtermSelf(t *testing.T) {
 	}
 }
 
-// TestServeAndDrain boots mcserved in-process, talks to it with the wire
-// client, scrapes the combined /metrics exposition, and verifies a SIGTERM
-// drains cleanly.
+// servedKinds are the -kind values mcserved accepts.
+var servedKinds = []string{"sharded", "single", "blocked"}
+
+// TestServeAndDrain boots mcserved in-process for every table kind, talks to
+// it with the wire client, scrapes the combined /metrics exposition —
+// including the table's op counters — and verifies a SIGTERM drains
+// cleanly.
 func TestServeAndDrain(t *testing.T) {
+	for _, kind := range servedKinds {
+		t.Run(kind, func(t *testing.T) { serveAndDrain(t, kind) })
+	}
+}
+
+func serveAndDrain(t *testing.T, kind string) {
 	lines, errCh := startServed(t,
 		"-addr", "127.0.0.1:0", "-metrics", "127.0.0.1:0",
-		"-kind", "sharded", "-capacity", "8192", "-shards", "4",
+		"-kind", kind, "-capacity", "8192", "-shards", "4",
 	)
 	murl := strings.TrimPrefix(waitLine(t, lines, "metrics on "), "metrics on ")
 	addr := strings.Fields(strings.TrimPrefix(waitLine(t, lines, "listening on "), "listening on "))[0]
@@ -102,9 +112,12 @@ func TestServeAndDrain(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"mccuckoo_items", "mccuckoo_server_requests_total"} {
+	for _, want := range []string{
+		"mccuckoo_items 1\n", "mccuckoo_server_requests_total",
+		`mccuckoo_ops_total{op="insert"} 1`, `mccuckoo_ops_total{op="lookup"} 1`,
+	} {
 		if !strings.Contains(string(body), want) {
-			t.Fatalf("/metrics missing %s", want)
+			t.Fatalf("/metrics missing %s:\n%s", want, body)
 		}
 	}
 
@@ -115,13 +128,20 @@ func TestServeAndDrain(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: a SIGTERM shutdown with -snapshot persists the
-// table, and a restart with -load serves the same data.
+// TestSnapshotRoundTrip: for every table kind, a SIGTERM shutdown with
+// -snapshot persists the table, and a restart with -load serves the same
+// data.
 func TestSnapshotRoundTrip(t *testing.T) {
+	for _, kind := range servedKinds {
+		t.Run(kind, func(t *testing.T) { snapshotRoundTrip(t, kind) })
+	}
+}
+
+func snapshotRoundTrip(t *testing.T, kind string) {
 	snap := filepath.Join(t.TempDir(), "table.snap")
 
 	lines, errCh := startServed(t,
-		"-addr", "127.0.0.1:0", "-kind", "single", "-capacity", "4096",
+		"-addr", "127.0.0.1:0", "-kind", kind, "-capacity", "4096",
 		"-snapshot", snap,
 	)
 	addr := strings.Fields(strings.TrimPrefix(waitLine(t, lines, "listening on "), "listening on "))[0]

@@ -41,8 +41,11 @@
 //   - Table and Blocked must be confined to one goroutine at a time. No
 //     method is safe to call concurrently with any other, reads included
 //     (lookups mutate the traffic meter).
-//   - Concurrent allows exactly one mutating goroutine (Insert, Delete,
-//     InsertPathwise) alongside any number of Lookup goroutines.
+//   - Concurrent allows any number of goroutines. Insert and Delete
+//     serialize on its write lock and Lookup runs in parallel under the
+//     read lock. InsertPathwise releases the lock between path moves, so
+//     it must run as the only writer: no Insert, Delete or other
+//     InsertPathwise at the same time.
 //   - Sharded is safe for unrestricted concurrent use by any number of
 //     goroutines, for every method.
 //

@@ -3,9 +3,11 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mccuckoo/internal/kv"
 	"mccuckoo/internal/memmodel"
+	"mccuckoo/internal/telemetry"
 )
 
 // ReadOnlyLookuper is the read path a table must expose to be wrapped by
@@ -13,12 +15,16 @@ import (
 type ReadOnlyLookuper interface {
 	kv.Table
 	LookupReadOnly(key uint64) (uint64, bool)
+	LookupReadOnlyTraced(key uint64) (value uint64, ok bool, offReads int64)
+	Range(fn func(key, value uint64) bool)
 }
 
 // Concurrent provides the one-writer-many-readers access mode of §III.H:
 // lookups run in parallel under a shared read lock via the tables' pure
 // read-only path, while insertions and deletions serialize under the write
-// lock.
+// lock, so any number of goroutines may call Insert and Delete. Only
+// InsertPathwise, which releases the lock between path moves, needs to be
+// the sole writer.
 //
 // The paper suggests MemC3-style optimistic versioned reads; in Go that
 // pattern is a data race by the memory model (readers would observe torn
@@ -34,22 +40,87 @@ type Concurrent struct {
 	//
 	//mcvet:guardedby mu
 	inner ReadOnlyLookuper
+	// owner is the caller's handle on the wrapped table, handed to Do's
+	// callback under the write lock. Assigned once at construction.
+	//
+	//mcvet:guardedby mu
+	owner any
+	// sink receives one event per Insert, Lookup, Delete and
+	// InsertPathwise, recorded inside the critical section so the off-chip
+	// count is the operation's own; nil disables telemetry. Assigned once at
+	// construction and read under mu with inner.
+	//
+	//mcvet:guardedby mu
+	sink *telemetry.Sink
 
 	lookups atomic.Int64
 	hits    atomic.Int64
 }
 
 // NewConcurrent wraps a table for concurrent use. The wrapped table must not
-// be used directly afterwards.
-func NewConcurrent(inner ReadOnlyLookuper) *Concurrent {
-	return &Concurrent{inner: inner}
+// be used directly afterwards except through Do, which hands owner to its
+// callback. sink, when non-nil, records every point operation.
+func NewConcurrent(inner ReadOnlyLookuper, owner any, sink *telemetry.Sink) *Concurrent {
+	return &Concurrent{inner: inner, owner: owner, sink: sink}
+}
+
+// opStart is what an instrumented mutation captures before it runs: the
+// meter's off-chip total and the clock.
+type opStart struct {
+	offChip int64
+	at      time.Time
+}
+
+// begin captures an opStart when a sink is attached (the zero value
+// otherwise). Callers hold the write lock.
+//
+//mcvet:locked
+func (c *Concurrent) begin() opStart {
+	if c.sink == nil {
+		return opStart{}
+	}
+	return opStart{c.inner.Meter().OffChipTotal(), time.Now()}
+}
+
+// insertDone records an insert begun at op and passes its outcome through.
+// Callers hold the write lock.
+//
+//mcvet:locked
+func (c *Concurrent) insertDone(op opStart, key uint64, o kv.Outcome) kv.Outcome {
+	if c.sink != nil {
+		c.sink.RecordInsert(-1, key, o, c.inner.Meter().OffChipTotal()-op.offChip,
+			time.Since(op.at).Nanoseconds())
+	}
+	return o
+}
+
+// Do runs fn with the write lock held, handing it the owner given to
+// NewConcurrent: exclusive access for checkpoints and gauge reads while
+// every other operation waits.
+func (c *Concurrent) Do(fn func(owner any)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fn(c.owner)
+}
+
+// Range calls fn for every distinct live item of the wrapped table under
+// the read lock, until fn returns false. fn must not call back into c's
+// mutating methods.
+func (c *Concurrent) Range(fn func(key, value uint64) bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	c.inner.Range(fn)
 }
 
 // Insert stores key/value under the write lock.
 func (c *Concurrent) Insert(key, value uint64) kv.Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inner.Insert(key, value)
+	if c.sink == nil {
+		return c.inner.Insert(key, value)
+	}
+	op := c.begin()
+	return c.insertDone(op, key, c.inner.Insert(key, value))
 }
 
 // InsertPathwise inserts with bounded writer critical sections: the cuckoo
@@ -58,8 +129,9 @@ func (c *Concurrent) Insert(key, value uint64) kv.Outcome {
 // MemC3 combination §III.H suggests — McCuckoo's counters find the path,
 // and its native multi-copy representation keeps every intermediate state a
 // valid table, so readers never lose an item mid-path). Both table kinds
-// support pathwise execution. There must be exactly one writer goroutine,
-// the same contract as Insert/Delete.
+// support pathwise execution. Because the lock is released mid-path, the
+// caller must be the only writer while it runs: no concurrent Insert,
+// Delete or InsertPathwise.
 func (c *Concurrent) InsertPathwise(key, value uint64) kv.Outcome {
 	// The type switch reads only the interface word, which is immutable
 	// after construction; the staged calls take the lock per move.
@@ -87,8 +159,10 @@ func pathwiseInsert[M any](c *Concurrent, key, value uint64,
 	finish func(M, int) kv.Outcome,
 ) kv.Outcome {
 	c.mu.Lock()
+	op := c.begin()
 	out, done := tryPlace(key, value)
 	if done {
+		c.insertDone(op, key, out)
 		c.mu.Unlock()
 		return out
 	}
@@ -102,7 +176,7 @@ func pathwiseInsert[M any](c *Concurrent, key, value uint64,
 	if !found {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return stash(key, value)
+		return c.insertDone(op, key, stash(key, value))
 	}
 	for i := len(path) - 1; i >= 0; i-- {
 		c.mu.Lock()
@@ -115,22 +189,36 @@ func pathwiseInsert[M any](c *Concurrent, key, value uint64,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return finish(path[0], len(path))
+	return c.insertDone(op, key, finish(path[0], len(path)))
 }
 
 // Delete removes key under the write lock.
 func (c *Concurrent) Delete(key uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inner.Delete(key)
+	if c.sink == nil {
+		return c.inner.Delete(key)
+	}
+	op := c.begin()
+	ok := c.inner.Delete(key)
+	c.sink.RecordDelete(-1, key, ok, c.inner.Meter().OffChipTotal()-op.offChip,
+		time.Since(op.at).Nanoseconds())
+	return ok
 }
 
 // Lookup runs under the shared read lock; any number of lookups proceed in
 // parallel.
-func (c *Concurrent) Lookup(key uint64) (uint64, bool) {
+func (c *Concurrent) Lookup(key uint64) (v uint64, ok bool) {
 	c.lookups.Add(1)
 	c.mu.RLock()
-	v, ok := c.inner.LookupReadOnly(key)
+	if c.sink == nil {
+		v, ok = c.inner.LookupReadOnly(key)
+	} else {
+		start := time.Now()
+		var off int64
+		v, ok, off = c.inner.LookupReadOnlyTraced(key)
+		c.sink.RecordLookup(-1, key, ok, off, time.Since(start).Nanoseconds())
+	}
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)

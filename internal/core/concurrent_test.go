@@ -59,7 +59,7 @@ func TestBlockedReadOnlyLookupAgrees(t *testing.T) {
 // detector: one writer mutating, many readers looking up.
 func TestConcurrentReadersOneWriter(t *testing.T) {
 	inner := mustNew(t, Config{BucketsPerTable: 1024, Seed: 45, StashEnabled: true})
-	c := NewConcurrent(inner)
+	c := NewConcurrent(inner, nil, nil)
 	keys := fillKeys(46, 2000)
 	// Pre-load half so readers have hits from the start.
 	for _, k := range keys[:1000] {
@@ -121,7 +121,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 // and deleted; keys ≡ 2 (mod 3) are inserted once.
 func TestConcurrentInterleavedStress(t *testing.T) {
 	inner := mustNew(t, Config{BucketsPerTable: 2048, Seed: 51, StashEnabled: true})
-	c := NewConcurrent(inner)
+	c := NewConcurrent(inner, nil, nil)
 
 	const writers, perWriter = 4, 1500
 	var writerWG, readerWG sync.WaitGroup
@@ -213,7 +213,7 @@ func TestConcurrentInterleavedStress(t *testing.T) {
 
 func TestConcurrentWrapsBlocked(t *testing.T) {
 	inner := mustNewBlocked(t, Config{BucketsPerTable: 128, Seed: 47, StashEnabled: true})
-	c := NewConcurrent(inner)
+	c := NewConcurrent(inner, nil, nil)
 	keys := fillKeys(48, 500)
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -157,7 +157,7 @@ func TestFindPathFailsWhenBoxedIn(t *testing.T) {
 func TestConcurrentInsertPathwise(t *testing.T) {
 	inner := mustNew(t, Config{BucketsPerTable: 1024, Seed: 61, AssumeUniqueKeys: true,
 		StashEnabled: true})
-	c := NewConcurrent(inner)
+	c := NewConcurrent(inner, nil, nil)
 	keys := fillKeys(62, int(0.88*float64(inner.Capacity())))
 	// Pre-load 60% through the pathwise writer, then run readers against
 	// the rest of the fill.
@@ -206,7 +206,7 @@ func TestConcurrentInsertPathwise(t *testing.T) {
 
 func TestConcurrentPathwiseBlockedBasic(t *testing.T) {
 	inner := mustNewBlocked(t, Config{BucketsPerTable: 64, Seed: 63, StashEnabled: true})
-	c := NewConcurrent(inner)
+	c := NewConcurrent(inner, nil, nil)
 	if out := c.InsertPathwise(1, 2); out.Status != kv.Placed {
 		t.Fatalf("insert status %v", out.Status)
 	}
@@ -348,7 +348,7 @@ func TestBlockedPathwiseInvariantsEveryStep(t *testing.T) {
 func TestConcurrentBlockedPathwise(t *testing.T) {
 	inner := mustNewBlocked(t, Config{BucketsPerTable: 256, Seed: 71, AssumeUniqueKeys: true,
 		StashEnabled: true})
-	c := NewConcurrent(inner)
+	c := NewConcurrent(inner, nil, nil)
 	keys := fillKeys(72, int(0.98*float64(inner.Capacity())))
 	split := len(keys) * 2 / 3
 	for _, k := range keys[:split] {

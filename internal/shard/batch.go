@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
-	"mccuckoo/internal/telemetry"
 )
 
 // Batched operations amortize lock traffic: keys are bucket-sorted by
@@ -108,7 +106,7 @@ func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
 		if s.sink != nil {
 			off := offTotal(sh.tab.Meter()) - before
 			sh.mu.Unlock()
-			s.recordInsert(si, keys[0], o, off)
+			s.sink.RecordInsert(si, keys[0], o, off, 0)
 		} else {
 			sh.mu.Unlock()
 		}
@@ -144,7 +142,7 @@ func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
 			before := offTotal(m)
 			//mcvet:allow lockdiscipline still locked here; the sink==nil branch above unlocks and continues
 			o := sh.tab.Insert(keys[i], values[i])
-			s.recordInsert(shi, keys[i], o, offTotal(m)-before)
+			s.sink.RecordInsert(shi, keys[i], o, offTotal(m)-before, 0)
 			if out != nil {
 				out[i] = o
 			}
@@ -152,14 +150,6 @@ func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
 		sh.mu.Unlock()
 	}
 	s.scratchPool.Put(buf)
-}
-
-// recordInsert emits one batched-insert telemetry event.
-func (s *Sharded) recordInsert(shard int, key uint64, o kv.Outcome, off int64) {
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpInsert, Status: uint8(o.Status), Shard: int32(shard),
-		Kicks: int32(o.Kicks), OffChip: off, KeyHash: hashutil.Mix64(key),
-	})
 }
 
 // LookupBatch answers every key, taking each touched shard's read lock
@@ -198,7 +188,7 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 		if found[0] {
 			sh.hits.Add(1)
 		}
-		s.recordLookup(si, keys[0], found[0], off)
+		s.sink.RecordLookup(si, keys[0], found[0], off, 0)
 		return
 	}
 	buf := s.scratch(2*len(keys) + 2*len(s.shards) + 1)
@@ -217,7 +207,7 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 			if s.sink != nil {
 				var off int64
 				values[i], found[i], off = sh.tab.LookupReadOnlyTraced(keys[i])
-				s.recordLookup(shi, keys[i], found[i], off)
+				s.sink.RecordLookup(shi, keys[i], found[i], off, 0)
 			} else {
 				values[i], found[i] = sh.tab.LookupReadOnly(keys[i])
 			}
@@ -229,18 +219,6 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 		sh.hits.Add(hits)
 	}
 	s.scratchPool.Put(buf)
-}
-
-// recordLookup emits one batched-lookup telemetry event (no-op when no sink
-// is attached).
-func (s *Sharded) recordLookup(shard int, key uint64, hit bool, off int64) {
-	if s.sink == nil {
-		return
-	}
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpLookup, Hit: hit, Shard: int32(shard),
-		OffChip: off, KeyHash: hashutil.Mix64(key),
-	})
 }
 
 // DeleteBatch removes every key, taking each touched shard's write lock
@@ -276,7 +254,7 @@ func (s *Sharded) DeleteBatchInto(keys []uint64, removed []bool) {
 		if s.sink != nil {
 			off := offTotal(sh.tab.Meter()) - before
 			sh.mu.Unlock()
-			s.recordDelete(si, keys[0], ok, off)
+			s.sink.RecordDelete(si, keys[0], ok, off, 0)
 		} else {
 			sh.mu.Unlock()
 		}
@@ -312,7 +290,7 @@ func (s *Sharded) DeleteBatchInto(keys []uint64, removed []bool) {
 			before := offTotal(m)
 			//mcvet:allow lockdiscipline still locked here; the sink==nil branch above unlocks and continues
 			ok := sh.tab.Delete(keys[i])
-			s.recordDelete(shi, keys[i], ok, offTotal(m)-before)
+			s.sink.RecordDelete(shi, keys[i], ok, offTotal(m)-before, 0)
 			if removed != nil {
 				removed[i] = ok
 			}
@@ -320,12 +298,4 @@ func (s *Sharded) DeleteBatchInto(keys []uint64, removed []bool) {
 		sh.mu.Unlock()
 	}
 	s.scratchPool.Put(buf)
-}
-
-// recordDelete emits one batched-delete telemetry event.
-func (s *Sharded) recordDelete(shard int, key uint64, removed bool, off int64) {
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpDelete, Hit: removed, Shard: int32(shard),
-		OffChip: off, KeyHash: hashutil.Mix64(key),
-	})
 }

@@ -183,11 +183,7 @@ func (s *Sharded) Insert(key, value uint64) kv.Outcome {
 	out := sh.tab.Insert(key, value)
 	off := offTotal(m) - before
 	sh.mu.Unlock()
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpInsert, Status: uint8(out.Status), Shard: int32(si),
-		Kicks: int32(out.Kicks), OffChip: off, Nanos: int64(time.Since(start)),
-		KeyHash: hashutil.Mix64(key),
-	})
+	s.sink.RecordInsert(si, key, out, off, int64(time.Since(start)))
 	return out
 }
 
@@ -217,11 +213,7 @@ func (s *Sharded) Lookup(key uint64) (uint64, bool) {
 	if ok {
 		sh.hits.Add(1)
 	}
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpLookup, Hit: ok, Shard: int32(si),
-		OffChip: off, Nanos: int64(time.Since(start)),
-		KeyHash: hashutil.Mix64(key),
-	})
+	s.sink.RecordLookup(si, key, ok, off, int64(time.Since(start)))
 	return v, ok
 }
 
@@ -244,11 +236,7 @@ func (s *Sharded) Delete(key uint64) bool {
 	ok := sh.tab.Delete(key)
 	off := offTotal(m) - before
 	sh.mu.Unlock()
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpDelete, Hit: ok, Shard: int32(si),
-		OffChip: off, Nanos: int64(time.Since(start)),
-		KeyHash: hashutil.Mix64(key),
-	})
+	s.sink.RecordDelete(si, key, ok, off, int64(time.Since(start)))
 	return ok
 }
 

@@ -20,10 +20,10 @@
 //     pushed explicitly via StoreGauges by single-writer tables that cannot
 //     be sampled concurrently.
 //
-// The package sits below the public API and beside internal/shard: shard
-// feeds a Sink from inside its per-shard critical sections, the public
-// wrappers feed it for the single-writer tables, and cmd/mctrace feeds it
-// from its replay loop.
+// The package sits below the public API, internal/shard and internal/core:
+// shard feeds a Sink from inside its per-shard critical sections,
+// core.Concurrent from inside its table lock, the public wrapper for the
+// bare single-writer tables, and cmd/mctrace from its replay loop.
 package telemetry
 
 import (
@@ -31,7 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mccuckoo/internal/core"
+	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
 )
 
@@ -203,7 +203,47 @@ func (s *Sink) Record(e Event) {
 	s.ring.add(e)
 }
 
-// RecordCorruptLoad counts one snapshot-load rejection (*core.CorruptError).
+// RecordInsert records one insert of key: its outcome, the off-chip
+// accesses it made, and its latency in nanoseconds (0 when untimed, as for
+// the elements of a batch). shard is the owning shard index, -1 for an
+// unsharded table. RecordInsert, RecordLookup and RecordDelete are the one
+// place a table operation becomes an Event.
+func (s *Sink) RecordInsert(shard int, key uint64, o kv.Outcome, offChip, nanos int64) {
+	if s == nil {
+		return
+	}
+	s.Record(Event{
+		Op: OpInsert, Status: uint8(o.Status), Shard: int32(shard),
+		Kicks: int32(o.Kicks), OffChip: offChip, Nanos: nanos,
+		KeyHash: hashutil.Mix64(key),
+	})
+}
+
+// RecordLookup records one lookup of key; hit reports whether it was found.
+// The other arguments are as for RecordInsert.
+func (s *Sink) RecordLookup(shard int, key uint64, hit bool, offChip, nanos int64) {
+	if s == nil {
+		return
+	}
+	s.Record(Event{
+		Op: OpLookup, Hit: hit, Shard: int32(shard),
+		OffChip: offChip, Nanos: nanos, KeyHash: hashutil.Mix64(key),
+	})
+}
+
+// RecordDelete records one delete of key; removed reports whether it was
+// live. The other arguments are as for RecordInsert.
+func (s *Sink) RecordDelete(shard int, key uint64, removed bool, offChip, nanos int64) {
+	if s == nil {
+		return
+	}
+	s.Record(Event{
+		Op: OpDelete, Hit: removed, Shard: int32(shard),
+		OffChip: offChip, Nanos: nanos, KeyHash: hashutil.Mix64(key),
+	})
+}
+
+// RecordCorruptLoad counts one snapshot-load rejection (a *core.CorruptError).
 func (s *Sink) RecordCorruptLoad() {
 	if s == nil {
 		return
@@ -212,7 +252,7 @@ func (s *Sink) RecordCorruptLoad() {
 }
 
 // RecordRepair accumulates one Repair pass report.
-func (s *Sink) RecordRepair(r core.RepairReport) {
+func (s *Sink) RecordRepair(r kv.RepairReport) {
 	if s == nil {
 		return
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"mccuckoo/internal/core"
 	"mccuckoo/internal/kv"
 )
 
@@ -101,8 +100,8 @@ func TestSinkRecordAndSnapshot(t *testing.T) {
 	s.Record(Event{Op: OpLookup, Hit: false, OffChip: 3})
 	s.Record(Event{Op: OpDelete, Hit: true, OffChip: 0, Nanos: 5})
 	s.RecordCorruptLoad()
-	s.RecordRepair(core.RepairReport{CountersFixed: 2, SizeBefore: 4, SizeAfter: 4, CopiesBefore: 6, CopiesAfter: 6})
-	s.RecordRepair(core.RepairReport{})
+	s.RecordRepair(kv.RepairReport{CountersFixed: 2, SizeBefore: 4, SizeAfter: 4, CopiesBefore: 6, CopiesAfter: 6})
+	s.RecordRepair(kv.RepairReport{})
 
 	snap := s.Snapshot()
 	c := snap.Counters
@@ -146,7 +145,7 @@ func TestNilSinkIsSafeAndDisabled(t *testing.T) {
 	}
 	s.Record(Event{Op: OpInsert})
 	s.RecordCorruptLoad()
-	s.RecordRepair(core.RepairReport{CountersFixed: 1})
+	s.RecordRepair(kv.RepairReport{CountersFixed: 1})
 	s.SetGaugeSource(func() Gauges { return Gauges{} })
 	s.StoreGauges(Gauges{Items: 1})
 	if evs := s.Events(); evs != nil {

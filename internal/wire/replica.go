@@ -30,6 +30,8 @@ type Ranger interface {
 	Range(fn func(key, value uint64) bool)
 }
 
+var _ Ranger = (*mccuckoo.Concurrent)(nil)
+
 // seededSeq is the sequence number assigned to keys found in the store
 // before any tracked write: older than every real write (real sequence
 // numbers are hybrid-clock values), so any replicated entry supersedes
@@ -54,7 +56,7 @@ type ReplicaConfig struct {
 // number, which stops a stale PUT from resurrecting the key.
 //
 // The wrapped store must itself be safe for concurrent use (Sharded, or a
-// single-writer kind behind Locked); Replicated adds its own lock only
+// single-writer kind behind mccuckoo.Concurrent); Replicated adds its own lock only
 // around the versioning bookkeeping, and read-only Store methods pass
 // through unlocked.
 type Replicated struct {
@@ -94,7 +96,7 @@ type Replicated struct {
 var _ mccuckoo.BatchStore = (*Replicated)(nil)
 
 // NewReplicated wraps inner. If inner is non-empty and supports Range (all
-// concrete kinds do; Locked forwards it), its keys are seeded at an ancient
+// concrete kinds and Concurrent do), its keys are seeded at an ancient
 // sequence number so they participate in state dumps and version
 // comparisons; LoadSidecar afterwards replaces the seeded bookkeeping with
 // the persisted one.

@@ -104,7 +104,7 @@ func TestReplicatedApplyFailedKeepsSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReplicated(NewLocked(tab), ReplicaConfig{})
+	r := NewReplicated(mccuckoo.NewConcurrent(tab), ReplicaConfig{})
 	var failedKey uint64
 	for k := uint64(1); k < 100; k++ {
 		st := r.ApplyPush([]Entry{{Seq: k, Op: OpPut, Key: k, Value: k}}, nil)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -59,19 +58,19 @@ func dialClient(t *testing.T, addr string, mod func(*ClientConfig)) *Client {
 	return c
 }
 
-func newLockedTable(t *testing.T, capacity int) *Locked {
+func newConcurrentTable(t *testing.T, capacity int) *mccuckoo.Concurrent {
 	t.Helper()
 	tab, err := mccuckoo.New(capacity, mccuckoo.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLocked(tab)
+	return mccuckoo.NewConcurrent(tab)
 }
 
-// TestServerBasicOps runs every opcode end to end against a Locked
-// single-writer table — the wrapper and the server in one pass.
+// TestServerBasicOps runs every opcode end to end against a single-writer
+// table behind Concurrent — the wrapper and the server in one pass.
 func TestServerBasicOps(t *testing.T) {
-	_, addr, shutdown := startServer(t, newLockedTable(t, 4096), nil)
+	_, addr, shutdown := startServer(t, newConcurrentTable(t, 4096), nil)
 	defer shutdown()
 	c := dialClient(t, addr, nil)
 
@@ -284,7 +283,7 @@ func (g *gatedStore) Lookup(key uint64) (uint64, bool) {
 // — and the queued requests must still complete once the store unblocks.
 func TestServerBusy(t *testing.T) {
 	gate := make(chan struct{})
-	store := &gatedStore{BatchStore: newLockedTable(t, 1024), gate: gate}
+	store := &gatedStore{BatchStore: newConcurrentTable(t, 1024), gate: gate}
 	srv, addr, shutdown := startServer(t, store, func(c *Config) { c.QueueDepth = 2 })
 	defer shutdown()
 
@@ -340,7 +339,7 @@ func TestServerBusy(t *testing.T) {
 // them and flushes their responses before the connection closes.
 func TestServerDrain(t *testing.T) {
 	gate := make(chan struct{})
-	store := &gatedStore{BatchStore: newLockedTable(t, 1024), gate: gate}
+	store := &gatedStore{BatchStore: newConcurrentTable(t, 1024), gate: gate}
 	srv, addr, _ := startServer(t, store, func(c *Config) { c.QueueDepth = 8 })
 
 	tab := store.BatchStore
@@ -410,7 +409,7 @@ func (p *panicStore) Lookup(key uint64) (uint64, bool) {
 // TestServerPanicIsolation: a panicking request is answered ERR and the
 // connection keeps serving.
 func TestServerPanicIsolation(t *testing.T) {
-	store := &panicStore{BatchStore: newLockedTable(t, 1024)}
+	store := &panicStore{BatchStore: newConcurrentTable(t, 1024)}
 	store.Insert(1, 10)
 	srv, addr, shutdown := startServer(t, store, nil)
 	defer shutdown()
@@ -432,7 +431,7 @@ func TestServerPanicIsolation(t *testing.T) {
 // TestServerConnLimit: the connection past MaxConns gets one ERR frame and
 // is closed; the admitted connection is unaffected.
 func TestServerConnLimit(t *testing.T) {
-	srv, addr, shutdown := startServer(t, newLockedTable(t, 1024), func(c *Config) { c.MaxConns = 1 })
+	srv, addr, shutdown := startServer(t, newConcurrentTable(t, 1024), func(c *Config) { c.MaxConns = 1 })
 	defer shutdown()
 	c := dialClient(t, addr, func(cc *ClientConfig) { cc.Conns = 1 })
 	if err := c.Ping(); err != nil {
@@ -465,7 +464,7 @@ func TestServerConnLimit(t *testing.T) {
 // TestServerMalformedPayload: a structurally valid frame with a bad payload
 // gets ERR; the connection survives. A corrupt frame kills the connection.
 func TestServerMalformedPayload(t *testing.T) {
-	srv, addr, shutdown := startServer(t, newLockedTable(t, 1024), nil)
+	srv, addr, shutdown := startServer(t, newConcurrentTable(t, 1024), nil)
 	defer shutdown()
 
 	rc := dialRaw(t, addr)
@@ -600,26 +599,5 @@ func TestServerUnderTrafficWithScrape(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("exposition missing %s:\n%s", want, buf.String())
 		}
-	}
-}
-
-// TestLockedDo: Do gives exclusive access to the wrapped store — the
-// checkpointing hook used by mcserved.
-func TestLockedDo(t *testing.T) {
-	l := newLockedTable(t, 1024)
-	l.Insert(5, 50)
-	var got uint64
-	l.Do(func(s mccuckoo.BatchStore) {
-		v, ok := s.Lookup(5)
-		if !ok {
-			t.Error("Do: key missing")
-		}
-		got = v
-	})
-	if got != 50 {
-		t.Fatalf("Do saw %d, want 50", got)
-	}
-	if fmt.Sprint(l.Len()) != "1" {
-		t.Fatalf("Len = %d", l.Len())
 	}
 }

@@ -12,7 +12,7 @@ import (
 // (and the kick count for the put).
 func TestServerTracedSpans(t *testing.T) {
 	rec := trace.New(trace.Options{Capacity: 128, Sample: 1})
-	_, addr, shutdown := startServer(t, newLockedTable(t, 4096), func(c *Config) { c.Trace = rec })
+	_, addr, shutdown := startServer(t, newConcurrentTable(t, 4096), func(c *Config) { c.Trace = rec })
 	defer shutdown()
 	c := dialClient(t, addr, nil)
 
@@ -71,7 +71,7 @@ func TestServerTracedSpans(t *testing.T) {
 // alongside the existing panics counter.
 func TestServerPanicFlightRecorded(t *testing.T) {
 	rec := trace.New(trace.Options{Capacity: 32, Sample: 1 << 30}) // sampler never fires
-	store := &panicStore{BatchStore: newLockedTable(t, 1024)}
+	store := &panicStore{BatchStore: newConcurrentTable(t, 1024)}
 	srv, addr, shutdown := startServer(t, store, func(c *Config) { c.Trace = rec })
 	defer shutdown()
 	c := dialClient(t, addr, nil)

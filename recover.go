@@ -36,21 +36,14 @@ func recordCorrupt(tel *Telemetry, err error) error {
 }
 
 // Repair rebuilds the table's derived state — copy counters, stash flags,
-// size/copies bookkeeping — purely from the authoritative off-chip buckets
-// and stash. It is the recovery path for on-chip state loss (the counters
-// are the only record a deletion leaves, so deletions whose counters are
-// corrupted back to live may roll back; see DESIGN.md). The report says what
-// changed; an all-zero report means the table was already consistent. With
-// telemetry attached, the report is also recorded in the repair counters.
-func (t *Table) Repair() RepairReport {
-	rep := t.inner.Repair()
-	t.sink.RecordRepair(rep)
-	return rep
-}
-
-// Repair rebuilds the blocked table's derived state, additionally rebuilding
-// the per-copy slot-hint vectors. Semantics as Table.Repair.
-func (t *Blocked) Repair() RepairReport {
+// size/copies bookkeeping, and for Blocked the per-copy slot-hint vectors —
+// purely from the authoritative off-chip buckets and stash. It is the
+// recovery path for on-chip state loss (the counters are the only record a
+// deletion leaves, so deletions whose counters are corrupted back to live
+// may roll back; see DESIGN.md). The report says what changed; an all-zero
+// report means the table was already consistent. With telemetry attached,
+// the report is also recorded in the repair counters.
+func (t *single[E]) Repair() RepairReport {
 	rep := t.inner.Repair()
 	t.sink.RecordRepair(rep)
 	return rep
@@ -59,10 +52,7 @@ func (t *Blocked) Repair() RepairReport {
 // SaveFile writes a crash-safe snapshot to path: the bytes go to a temp file
 // in the same directory, are fsynced, and are atomically renamed over path.
 // A crash mid-save leaves the previous file intact, never a torn snapshot.
-func (t *Table) SaveFile(path string) error { return t.inner.SaveFile(path) }
-
-// SaveFile writes a crash-safe snapshot of the blocked table to path.
-func (t *Blocked) SaveFile(path string) error { return t.inner.SaveFile(path) }
+func (t *single[E]) SaveFile(path string) error { return t.inner.SaveFile(path) }
 
 // LoadFile restores a single-slot table from a SaveFile snapshot. On top of
 // Load's checksum and bounds validation it rejects trailing bytes after the
@@ -70,33 +60,13 @@ func (t *Blocked) SaveFile(path string) error { return t.inner.SaveFile(path) }
 // structural options are ignored (the snapshot carries its configuration);
 // WithTelemetry attaches a collector and counts corrupt rejections.
 func LoadFile(path string, opts ...Option) (*Table, error) {
-	tel, err := loadOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := core.LoadFile(path)
-	if err != nil {
-		return nil, recordCorrupt(tel, err)
-	}
-	t := &Table{inner: inner}
-	t.attachTelemetry(tel)
-	return t, nil
+	return restore[Table](opts, func() (*core.Table, error) { return core.LoadFile(path) })
 }
 
 // LoadBlockedFile restores a blocked table from a SaveFile snapshot. Options
 // behave as in Load.
 func LoadBlockedFile(path string, opts ...Option) (*Blocked, error) {
-	tel, err := loadOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := core.LoadBlockedFile(path)
-	if err != nil {
-		return nil, recordCorrupt(tel, err)
-	}
-	t := &Blocked{inner: inner}
-	t.attachTelemetry(tel)
-	return t, nil
+	return restore[Blocked](opts, func() (*core.BlockedTable, error) { return core.LoadBlockedFile(path) })
 }
 
 // Grow grows every shard by growFactor, each under its own write lock.
@@ -151,6 +121,3 @@ func LoadShardedFile(path string, opts ...Option) (*Sharded, error) {
 	s.attachTelemetry(tel)
 	return s, nil
 }
-
-// Ensure the io import stays honest about what this file exposes.
-var _ io.WriterTo = (*Sharded)(nil)

@@ -1,10 +1,9 @@
 package mccuckoo
 
-// This file is the unified face of the four table kinds. Until PR 5 the
-// kinds (Table, Blocked, Concurrent, Sharded) exposed near-identical but
-// unrelated method sets, so every consumer — the benchmark harness, the
-// trace replayer, the examples — re-implemented dispatch. Store and
-// BatchStore name the common contract once; the network serving layer
+// This file is the unified face of the four table kinds (Table, Blocked,
+// Concurrent, Sharded). Store and BatchStore name their common contract
+// once, so a consumer — the benchmark harness, the trace replayer, the
+// examples — needs no per-kind dispatch; the network serving layer
 // (internal/wire, cmd/mcserved) binds to these interfaces and nothing else.
 
 // Store is the operation surface every table kind implements: point
@@ -12,9 +11,9 @@ package mccuckoo
 // reason about occupancy.
 //
 // Implementations differ in their concurrency contract, not their method
-// set: Table and Blocked are single-goroutine structures, Concurrent is
-// one-writer-many-readers, and Sharded is safe for any number of
-// goroutines. See the package documentation's Concurrency section before
+// set: Table and Blocked are single-goroutine structures, Concurrent
+// serializes writers and runs readers in parallel, and Sharded is safe for
+// any number of goroutines. See the package documentation's Concurrency section before
 // sharing a Store between goroutines.
 type Store interface {
 	// Insert stores key/value, replacing the value if key is already

@@ -69,10 +69,12 @@ func (t *Telemetry) Publish(name string) error { return t.sink.Publish(name) }
 // back tel's exporters.
 //
 // For Sharded tables the gauges are live — every scrape reads the current
-// state under the per-shard locks. Table and Blocked are single-writer
-// structures that cannot be read concurrently, so their gauges are sampled:
-// the owning goroutine calls SampleTelemetry whenever fresh gauge values
-// should be visible to scrapes (histograms and counters are always live).
+// state under the per-shard locks — and so are they for a Table or Blocked
+// once wrapped in Concurrent, read under its lock. A bare Table or Blocked
+// is a single-writer structure that cannot be read concurrently, so its
+// gauges are sampled: the owning goroutine calls SampleTelemetry whenever
+// fresh gauge values should be visible to scrapes (histograms and counters
+// are always live).
 //
 // The same option is accepted by the Load functions, where it additionally
 // counts *CorruptError rejections in the corrupt-load counter.
@@ -83,9 +85,9 @@ func WithTelemetry(tel *Telemetry) Option {
 	}
 }
 
-// singleGauges assembles a gauge snapshot from a single-writer table's
-// inspection surface. Must be called by the owning goroutine.
-func singleGauges(t interface {
+// gaugeReader is the inspection surface of a single-writer table that its
+// gauges are read from.
+type gaugeReader interface {
 	Len() int
 	Capacity() int
 	LoadRatio() float64
@@ -93,7 +95,12 @@ func singleGauges(t interface {
 	StashFlagDensity() float64
 	CopyHistogram() []int
 	Stats() Stats
-}) telemetry.Gauges {
+}
+
+// singleGauges assembles a gauge snapshot from a single-writer table's
+// inspection surface. Must be called by the owning goroutine, or under
+// Concurrent's write lock.
+func singleGauges(t gaugeReader) telemetry.Gauges {
 	hist := t.CopyHistogram()
 	copyHist := make([]int64, len(hist))
 	for v, n := range hist {
@@ -120,17 +127,9 @@ func singleGauges(t interface {
 // distribution, stash depth and flag density, lifetime stats) to the
 // attached telemetry. Call it from the goroutine that owns the table —
 // typically every few thousand operations, and once after a load phase.
-// No-op without attached telemetry.
-func (t *Table) SampleTelemetry() {
-	if t.sink == nil {
-		return
-	}
-	t.sink.StoreGauges(singleGauges(t))
-}
-
-// SampleTelemetry pushes the blocked table's gauge values; see
-// Table.SampleTelemetry.
-func (t *Blocked) SampleTelemetry() {
+// A table wrapped in Concurrent needs no sampling: Concurrent serves its
+// gauges live. No-op without attached telemetry.
+func (t *single[E]) SampleTelemetry() {
 	if t.sink == nil {
 		return
 	}
